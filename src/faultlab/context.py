@@ -8,8 +8,11 @@ Two cooperating selections feed the generative model:
 * a fused context: the semantic slice set filtered and ordered by the
   statistical ranking, truncated to the model's width.
 
-The symmetric eigensolver is a cyclic Jacobi iteration; no linear-algebra
-backend is involved so the selection is reproducible bit-for-bit.
+The symmetric eigensolver is a round-robin (parallel-ordered) Jacobi
+iteration over the rows with non-zero off-diagonal entries.  It uses only
+elementwise numpy operations, never a linear-algebra backend, so the
+selection is reproducible bit-for-bit.  Columns that are equal up to shift
+and sign tie exactly in contribution, so the index tie-break orders them.
 """
 
 from __future__ import annotations
@@ -68,11 +71,11 @@ class FusedContext:
 def eigen_sym(matrix: np.ndarray,
               off_tol: float = JACOBI_OFF_TOL,
               max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by round-robin Jacobi rotations.
 
     Returns eigenvalues in descending order and the matching orthonormal
     eigenvectors as columns, each sign-fixed so its largest-magnitude
-    component is positive.
+    component is positive.  A row that is already diagonal keeps e_i.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -80,34 +83,39 @@ def eigen_sym(matrix: np.ndarray,
     if not np.allclose(a, a.T, atol=SYMMETRY_TOL, rtol=0.0):
         raise NotSymmetric("matrix is not symmetric within 1e-9")
     n = a.shape[0]
-    a = (a + a.T) / 2.0
-    v = np.eye(n)
+    av = np.vstack([(a + a.T) / 2.0, np.eye(n)])   # one column update serves a and v
+    a, v = av[:n], av[n:]
 
     def off_norm(mat):
         off = mat - np.diag(np.diag(mat))
         return np.sqrt(np.sum(off * off))
 
+    live = np.flatnonzero(np.any((a != 0.0) & ~np.eye(n, dtype=bool), axis=1))
+    # A sweep pairs the k rows not yet diagonal in m rounds of disjoint, so
+    # commuting, rotations.  Modulus ordering (Luk & Park, 1989): round r
+    # pairs i < j < m with i + j = r mod m, and m with the i where 2i = r mod m.
+    k = len(live)
+    m = k - 1 + k % 2
+    i, j = np.triu_indices(k, 1)
+    r = np.where(j < m, i + j, 2 * i) % m
+    rounds = [(live[i[r == x]], live[j[r == x]]) for x in range(m)]
+
     for _ in range(max_sweeps):
         if off_norm(a) < off_tol:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
+        for p, q in rounds:
+            apq = a[p, q]
+            rotated = apq != 0.0
+            p, q, apq = p[rotated], q[rotated], apq[rotated]
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t[theta == 0.0] = 1.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+            cc, ss = np.concatenate((c, c)), np.concatenate((-s, s))
+            for mat in (a.T, av):        # rows of a, then columns of a and v
+                mat[:, pq] = mat[:, pq] * cc + mat[:, qp] * ss
     else:
         if off_norm(a) >= off_tol:
             raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
@@ -136,6 +144,21 @@ def default_m(eigvals: np.ndarray, coverage: float = VARIANCE_COVERAGE) -> int:
     return len(eigvals)
 
 
+def _tie_groups(x: np.ndarray) -> list[int]:
+    """For each column, the first column equal to it up to shift and sign.
+
+    Centred columns c and ±c (a copied statement; a then-arm and its
+    else-arm) load with equal magnitude on every eigenvector whose
+    eigenvalue is non-zero, so their contributions tie exactly.
+    """
+    d = x - x[0]
+    lead = d[np.argmax(d != 0.0, axis=0), np.arange(x.shape[1])]  # first non-zero entry
+    d = np.where(lead < 0.0, -d, d)
+    seen: dict[tuple, int] = {}
+    # Float tuples compare by value, so -0.0 and 0.0 share a key.
+    return [seen.setdefault(tuple(col.tolist()), j) for j, col in enumerate(d.T)]
+
+
 def contribution_select(
     x: np.ndarray,
     m: int | None = None,
@@ -145,8 +168,8 @@ def contribution_select(
 
     covX is the covariance of the coverage columns (rows are samples,
     column-mean centering, divisor M-1).  Contribution of statement i is
-    sum_p |V_pi| over the m leading eigenvectors; ties break by ascending
-    statement index.
+    sum_p |V_pi| over the m leading eigenvectors; ties, exact for columns
+    equal up to shift and sign, break by ascending statement index.
     """
     x = np.asarray(x, dtype=np.float64)
     rows, n = x.shape
@@ -163,9 +186,8 @@ def contribution_select(
         m = default_m(eigvals)
     if not 1 <= m <= n:
         raise DegenerateData(f"m={m} outside 1..{n}")
-    contributions = np.sum(np.abs(eigvecs[:, :m]), axis=1)
-    # Identical columns must tie exactly so the index tie-break is
-    # deterministic; quantize away solver round-off before ordering.
+    contributions = np.sum(np.abs(eigvecs[:, :m]), axis=1)[_tie_groups(x)]
+    # Structural ties are exact; quantize away solver round-off from others.
     snapped = np.round(contributions, 9)
     order = sorted(range(n), key=lambda i: (-snapped[i], i))
     stm_pca = [i + 1 for i in order[:k2]]

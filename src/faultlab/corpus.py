@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TemplateError
+from .errors import IoError, TemplateError
 from .minilang import (
     Mutation,
     Program,
@@ -481,23 +481,36 @@ def write_corpus(versions: list[Version], out_dir: str | Path) -> Path:
     return out
 
 
+# What reading a missing, unreadable or malformed corpus file raises:
+# OSError, ValueError (bad JSON, UTF-8 or integer), KeyError, TypeError.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+
 def load_version(vdir: str | Path) -> Version:
     vdir = Path(vdir)
-    meta = json.loads((vdir / "meta.json").read_text())
-    mutation = Mutation.from_dict(json.loads((vdir / "mutation.json").read_text()))
-    program = parse((vdir / "program.txt").read_text())
-    faulty = parse((vdir / "faulty.txt").read_text())
+    try:
+        meta = json.loads((vdir / "meta.json").read_text())
+        version_id, template = meta["version_id"], meta["template"]
+        mutation = Mutation.from_dict(json.loads((vdir / "mutation.json").read_text()))
+        program_src = (vdir / "program.txt").read_text()
+        faulty_src = (vdir / "faulty.txt").read_text()
+        suite = load_suite(vdir / "tests.json")
+    except _READ_ERRORS as exc:
+        raise IoError(f"cannot load version {vdir}: {type(exc).__name__}: {exc}") from exc
     return Version(
-        version_id=meta["version_id"],
-        template=meta["template"],
-        program=program,
-        faulty=faulty,
+        version_id=version_id,
+        template=template,
+        program=parse(program_src),
+        faulty=parse(faulty_src),
         mutation=mutation,
-        suite=load_suite(vdir / "tests.json"),
+        suite=suite,
     )
 
 
 def load_corpus(corpus_dir: str | Path) -> list[Version]:
     corpus_dir = Path(corpus_dir)
-    manifest = json.loads((corpus_dir / "manifest.json").read_text())
-    return [load_version(corpus_dir / vid) for vid in manifest["versions"]]
+    try:
+        version_ids = json.loads((corpus_dir / "manifest.json").read_text())["versions"]
+    except _READ_ERRORS as exc:
+        raise IoError(f"cannot load corpus {corpus_dir}: {type(exc).__name__}: {exc}") from exc
+    return [load_version(corpus_dir / vid) for vid in version_ids]

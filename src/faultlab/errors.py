@@ -24,6 +24,10 @@ class InvalidTarget(FaultlabError):
     pass
 
 
+class InvalidInput(FaultlabError):
+    pass
+
+
 class CriterionNotExecuted(FaultlabError):
     pass
 

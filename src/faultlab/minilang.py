@@ -12,15 +12,16 @@ Grammar (one statement per line, ``#`` comments, braces delimit blocks)::
     unary := '-' unary | INT | NAME | '(' expr ')'
 
 All values are integers; a condition is true iff nonzero; ``/`` and ``%``
-truncate toward zero.  Statements (assignment, if-header, while-header,
+truncate toward zero; assigning a value of magnitude 2**63 or more is a
+runtime fault (overflow).  Statements (assignment, if-header, while-header,
 output) are numbered 1..N in source order; closing braces and ``else``
 lines are not statements.
 
 execute() interprets a program against an input binding and an oracle,
 recording a full occurrence-level trace with dynamic data and control
 dependence edges.  Runtime faults (division by zero, undefined variable,
-loop-cap overrun) mark the test failing; they never raise out of the
-harness.
+overflow, loop-cap overrun) mark the test failing; they never raise out
+of the harness.  A test input that is not an integer raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidTarget, ParseError
+from .errors import InvalidInput, InvalidTarget, ParseError
+
+VALUE_LIMIT = 2**63             # an assigned value must stay below this in magnitude
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -311,9 +314,12 @@ class _Interp:
         self.program = program
         self.loop_cap = loop_cap
         self.step_cap = step_cap
-        self.env: dict[str, tuple[int, int | None]] = {
-            v: (int(val), None) for v, val in inputs.items()
-        }
+        self.env: dict[str, tuple[int, int | None]] = {}
+        for v, val in inputs.items():
+            try:
+                self.env[v] = (int(val), None)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInput(f"test input {v!r} is not an integer: {val!r}") from exc
         self.trace: list[int] = []
         self.data_edges: list[tuple[int, int]] = []
         self.control_edges: list[tuple[int, int]] = []
@@ -382,6 +388,10 @@ class _Interp:
         if s.kind == "assign":
             occ = self.occurrence(s)
             value = self.eval(s.expr, occ)
+            # Bounding every stored value bounds each expression's
+            # intermediates too, so a squaring loop faults instead of growing.
+            if abs(value) >= VALUE_LIMIT:
+                raise _Fault("runtime: overflow")
             self.env[s.var] = (value, occ)
         elif s.kind == "output":
             occ = self.occurrence(s)

@@ -61,6 +61,49 @@ def test_eigen_sign_convention_and_orthonormality():
             assert np.allclose(a @ vecs[:, k], vals[k] * vecs[:, k], atol=1e-8)
 
 
+def _structured_coverage(rng, rows, n):
+    """Random 0/1 coverage with constant, copied and complemented columns.
+
+    Returns the matrix and the groups of columns equal up to complement.
+    """
+    x = rng.integers(0, 2, size=(rows, n)).astype(float)
+    cols = rng.permutation(n)
+    groups = []
+    for g in range(n // 6):
+        lead, copy, comp = sorted(cols[3 * g:3 * g + 3])
+        x[:, copy] = x[:, lead]
+        x[:, comp] = 1.0 - x[:, lead]
+        groups.append([lead, copy, comp])
+    for c in cols[3 * (n // 6):3 * (n // 6) + 3]:
+        x[:, c] = float(c % 2)
+    return x, groups
+
+
+def _covariance(x):
+    centered = x - x.mean(axis=0)
+    return centered.T @ centered / (len(x) - 1)
+
+
+@pytest.mark.parametrize("n", [33, 48, 64])
+def test_eigen_wide_coverage_covariance(n):
+    rng = np.random.default_rng(n)
+    x, _ = _structured_coverage(rng, 104, n)
+    a = _covariance(x)
+    zero_rows = np.flatnonzero(~a.any(axis=1))
+    assert len(zero_rows) >= 3
+    vals, vecs = eigen_sym(a)
+    want = np.linalg.eigvalsh(a)[::-1]
+    assert np.max(np.abs(vals - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+    assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-8)
+    assert np.allclose(a @ vecs, vecs * vals, atol=1e-8)
+    for k in range(n):
+        col = vecs[:, k]
+        assert col[np.argmax(np.abs(col))] > 0
+    for i in zero_rows:
+        unit = np.eye(n)[i]
+        assert any(np.array_equal(vecs[:, k], unit) for k in range(n))
+
+
 # -- contribution selection ---------------------------------------------------
 
 def test_constant_column_ranks_last():
@@ -84,6 +127,22 @@ def test_identical_columns_tie_by_index():
     c = ctx.contributions
     assert c[0] == pytest.approx(c[1], abs=1e-9)
     assert ctx.stm_pca.index(1) + 1 == ctx.stm_pca.index(2)
+
+
+def test_structural_ties_are_exact():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        n = int(rng.integers(18, 40))
+        x, groups = _structured_coverage(rng, int(rng.integers(30, 80)), n)
+        ctx = contribution_select(x)
+        # the tie is real: the solver's own loadings agree within round-off
+        _, vecs = eigen_sym(_covariance(x))
+        raw = np.abs(vecs[:, :ctx.m]).sum(axis=1)
+        for group in groups:
+            assert np.allclose(raw[group], raw[group[0]], rtol=0.0, atol=1e-8)
+            assert all(ctx.contributions[g] == ctx.contributions[group[0]] for g in group)
+            where = [ctx.stm_pca.index(g + 1) for g in group]
+            assert where == sorted(where)
 
 
 def test_contribution_matches_lapack_oracle():

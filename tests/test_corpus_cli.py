@@ -131,6 +131,37 @@ def test_cli_nonzero_exit_on_version_error(tmp_path):
     assert code == 1
 
 
+def test_cli_missing_or_malformed_corpus_exits_2(tmp_path, capsys):
+    args = ["run", "--out", str(tmp_path / "r"), "--scenarios", "origin",
+            "--methods", "gp02"]
+    assert main(args + ["--corpus", str(tmp_path / "missing")]) == 2
+    corpus_dir = tmp_path / "corpus"
+    main(["corpus", "gen", "--out", str(corpus_dir), "--count", "2", "--seed", "4"])
+    (corpus_dir / "v001_masked_scale" / "tests.json").write_text("[{")
+    assert main(args + ["--corpus", str(corpus_dir)]) == 2
+    (corpus_dir / "manifest.json").write_text("{}")
+    assert main(args + ["--corpus", str(corpus_dir)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_integer_input_fails_only_its_version(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    main(["corpus", "gen", "--out", str(corpus_dir), "--count", "2", "--seed", "4"])
+    tests_file = corpus_dir / "v001_masked_scale" / "tests.json"
+    suite = json.loads(tests_file.read_text())
+    first = next(iter(suite[0]["inputs"]))
+    suite[0]["inputs"][first] = "abc"
+    tests_file.write_text(json.dumps(suite))
+    out = tmp_path / "r"
+    code = main(["run", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--scenarios", "origin", "--methods", "gp02"])
+    assert code == 1
+    payload = json.loads((out / "report.json").read_text())
+    assert [(e["version"], e["error"]) for e in payload["errors"]] == [
+        ("v001_masked_scale", "InvalidInput")]
+    assert [row["version"] for row in payload["per_version"]] == ["v000_illustrative"]
+
+
 def test_config_file_parsing(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(

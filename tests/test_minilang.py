@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from faultlab.errors import InvalidTarget, ParseError
+from faultlab.errors import InvalidInput, InvalidTarget, ParseError
 from faultlab.minilang import Mutation, execute, parse, seed_fault, tokenize_line
 from randprog import gen_random_program
 
@@ -62,6 +64,23 @@ def test_execute_loop_cap():
     rec = execute(p, {}, {"x": 0}, loop_cap=100)
     assert rec.verdict == "fail"
     assert "non_termination" in rec.fault
+
+
+def test_execute_overflow_ends_squaring_loop():
+    p = parse("x = 2\nwhile (x > 0) {\n  x = x * x\n}\noutput(x)\n")
+    start = time.perf_counter()
+    rec = execute(p, {}, {"x": 0})
+    assert time.perf_counter() - start < 1.0
+    assert rec.verdict == "fail"
+    assert rec.fault == "runtime: overflow"
+    # 2**32 is stored; its square, 2**64, is not
+    assert rec.trace.count(3) == 6
+
+
+def test_execute_rejects_non_integer_input():
+    p = parse("out = gate + 1\noutput(out)\n")
+    with pytest.raises(InvalidInput):
+        execute(p, {"gate": "abc"}, {"out": 1})
 
 
 def test_execute_determinism():
