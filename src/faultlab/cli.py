@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .corpus import generate_corpus, write_corpus
 from .diffusion import TrainConfig
-from .errors import FaultlabError, IoError
+from .errors import FaultlabError, InvalidConfig, IoError
 from .metrics import MetricsReport, ScenarioMetrics
 from .pipeline import RunConfig, emit_report, run_pipeline
 
@@ -31,19 +31,31 @@ CONFIG_KEYS = {
 }
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config_file(path: str) -> dict:
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise FaultlabError(f"{path}:{line_no}: expected 'key = value'")
+            raise InvalidConfig(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise FaultlabError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = CONFIG_KEYS[key](value.strip())
+            raise InvalidConfig(f"{path}:{line_no}: unknown key {key!r}")
+        kind = CONFIG_KEYS[key]
+        try:
+            values[key] = kind(value.strip())
+        except ValueError:
+            raise InvalidConfig(f"{path}:{line_no}: {key} needs a {kind.__name__} value, "
+                                f"got {value.strip()!r}") from None
     return values
 
 
@@ -161,8 +173,10 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             return 0
         if args.command == "report":
-            payload = json.loads(Path(args.input).read_text())
-            report = _report_from_dict(payload)
+            try:
+                report = _report_from_dict(json.loads(_read_text(args.input, "report")))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise IoError(f"{args.input} is not a faultlab report.json: {exc!r}") from exc
             formats = tuple(f.strip() for f in args.formats.split(","))
             for p in emit_report(report, args.out, formats):
                 print(f"wrote {p}")

@@ -2,6 +2,14 @@
 
 After training, statement suspiciousness is the model's output on the
 one-hot virtual test that covers exactly that statement.
+
+Training minimizes the mean binary cross-entropy with logits,
+mean(softplus(z) - y*z), by full-batch AdamW.  Each step writes the
+forward and backward pass of the three sigmoid layers out in closed form
+with plain numpy instead of recording an autodiff tape.  It uses the same
+array operations in the same order as the tape would, so the trained
+weights are bit-identical to tape-driven training, at a fraction of the
+interpreter cost.
 """
 
 from __future__ import annotations
@@ -71,14 +79,22 @@ def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> Mlp
     rng = np.random.default_rng(cfg.seed)
     model = MlpFlModel(rng, dataset.num_statements, cfg.hidden)
     opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    x = Tensor(dataset.matrix.astype(np.float64))
-    targets = Tensor(y.reshape(-1, 1))
+    x = dataset.matrix.astype(np.float64)
+    y = y.reshape(-1, 1)
+    # d(mean)/d(row loss), as the tape's backward of `.mean()` produces it
+    g = np.broadcast_to(1.0 * (1.0 / y.size), y.shape).copy()
+    fc1, fc2, fc3 = model.fc1, model.fc2, model.fc3
     for _ in range(cfg.steps):
-        z = model.logits(x)
-        # BCE with logits: mean(softplus(z) - y*z)
-        loss = (z.softplus() - targets * z).mean()
-        opt.zero_grad()
-        loss.backward()
+        h1 = 1.0 / (1.0 + np.exp(-(x @ fc1.w.data + fc1.b.data)))
+        h2 = 1.0 / (1.0 + np.exp(-(h1 @ fc2.w.data + fc2.b.data)))
+        z = h2 @ fc3.w.data + fc3.b.data
+        # d/dz of softplus(z) - y*z: one term from each of the tape's nodes
+        g3 = g / (1.0 + np.exp(-z)) + (-g) * y
+        g2 = (g3 @ np.swapaxes(fc3.w.data, -1, -2)) * h2 * (1.0 - h2)
+        g1 = (g2 @ np.swapaxes(fc2.w.data, -1, -2)) * h1 * (1.0 - h1)
+        for fc, h, grad in ((fc1, x, g1), (fc2, h1, g2), (fc3, h2, g3)):
+            fc.w.grad = np.swapaxes(h, -1, -2) @ grad
+            fc.b.grad = grad.sum(axis=0)
         opt.step()
     return model
 

@@ -106,3 +106,7 @@ class TemplateError(FaultlabError):
 
 class IoError(FaultlabError):
     pass
+
+
+class InvalidConfig(FaultlabError):
+    pass

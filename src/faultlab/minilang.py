@@ -21,12 +21,14 @@ execute() interprets a program against an input binding and an oracle,
 recording a full occurrence-level trace with dynamic data and control
 dependence edges.  Runtime faults (division by zero, undefined variable,
 overflow, loop-cap overrun) mark the test failing; they never raise out
-of the harness.  A test input that is not an integer raises InvalidInput.
+of the harness.  A test input that is not an integer (a float, a string,
+a bool) raises InvalidInput.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -316,10 +318,11 @@ class _Interp:
         self.step_cap = step_cap
         self.env: dict[str, tuple[int, int | None]] = {}
         for v, val in inputs.items():
-            try:
-                self.env[v] = (int(val), None)
-            except (TypeError, ValueError) as exc:
-                raise InvalidInput(f"test input {v!r} is not an integer: {val!r}") from exc
+            # int() would truncate 1.7 and parse "12"; a bool is no integer here
+            if type(val) is not int and (isinstance(val, bool)
+                                         or not isinstance(val, numbers.Integral)):
+                raise InvalidInput(f"test input {v!r} is not an integer: {val!r}")
+            self.env[v] = (int(val), None)
         self.trace: list[int] = []
         self.data_edges: list[tuple[int, int]] = []
         self.control_edges: list[tuple[int, int]] = []

@@ -63,10 +63,14 @@ class Conv1d(Module):
         xd = x.data
         batch, c_in, width = xd.shape
         c_out = w.shape[0]
-        x_pad = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
-        windows = np.lib.stride_tricks.sliding_window_view(x_pad, k, axis=2)
-        # im2col: contiguous (B*W, C*k) patches so the product hits BLAS
-        patches = np.ascontiguousarray(windows.transpose(0, 2, 1, 3))
+        # im2col: contiguous (B*W, C*k) patches so the product hits BLAS.
+        # Tap j reads position w + j - pad; taps past either edge stay zero.
+        patches = np.zeros((batch, width, c_in, k))
+        xt = xd.transpose(0, 2, 1)
+        for j in range(k):
+            lo, hi = max(0, pad - j), min(width, width + pad - j)
+            if lo < hi:
+                patches[:, lo:hi, :, j] = xt[:, lo + j - pad:hi + j - pad]
         patches = patches.reshape(batch * width, c_in * k)
         w2 = w.data.reshape(c_out, c_in * k)
         out_data = (patches @ w2.T).reshape(batch, width, c_out)
@@ -80,7 +84,7 @@ class Conv1d(Module):
                 b._accumulate(g.sum(axis=(0, 2)))
             if x.requires_grad:
                 dwin = (g2 @ w2).reshape(batch, width, c_in, k).transpose(0, 2, 1, 3)
-                dx_pad = np.zeros_like(x_pad)
+                dx_pad = np.zeros((batch, c_in, width + 2 * pad))
                 for j in range(k):
                     dx_pad[:, :, j:j + width] += dwin[:, :, :, j]
                 x._accumulate(dx_pad[:, :, pad:pad + width])

@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay.
+"""AdamW with decoupled weight decay, over one flat parameter buffer.
 
 Update for each parameter p with gradient g at step t:
 
@@ -7,6 +7,15 @@ Update for each parameter p with gradient g at step t:
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * p
 
 The decay term uses the pre-update parameter value.
+
+On construction every parameter's `data` becomes a view into one
+contiguous array, with the moments `m` and `v` beside it, so a step is a
+handful of whole-buffer numpy calls instead of a loop over parameters.
+The calls write in place through one scratch buffer and keep the
+per-element operation order of the formula above, so the result is the
+same, bit for bit, as updating each parameter on its own.  A missing
+gradient counts as zero.  Assigning a new array to `p.data` after
+construction detaches that parameter from the optimizer.
 """
 
 from __future__ import annotations
@@ -27,8 +36,17 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        sizes = [p.data.size for p in self.params.values()]
+        self._bounds = np.cumsum([0] + sizes)
+        self.flat = np.zeros(self._bounds[-1])
+        for p, lo, hi in zip(self.params.values(), self._bounds[:-1], self._bounds[1:]):
+            view = self.flat[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.zeros_like(self.flat)
+        self._scratch = np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -37,19 +55,30 @@ class AdamW:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"gradient of {name!r} is not finite")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            m_hat = m / (1.0 - self.b1 ** t)
-            v_hat = v / (1.0 - self.b2 ** t)
-            decay = self.lr * self.weight_decay * p.data
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - decay
+        if not self.params:
+            return
+        g, s, p = self._grad, self._scratch, self.flat
+        np.concatenate([np.zeros(q.data.size) if q.grad is None else q.grad.reshape(-1)
+                        for q in self.params.values()], out=g)
+        if not np.isfinite(g).all():
+            for name, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:]):
+                if not np.isfinite(g[lo:hi]).all():
+                    raise NonFiniteGradient(f"gradient of {name!r} is not finite")
+        self.m *= self.b1
+        np.multiply(g, 1.0 - self.b1, out=s)
+        self.m += s
+        self.v *= self.b2
+        np.multiply(g, 1.0 - self.b2, out=s)
+        s *= g
+        self.v += s
+        # The gradient is spent: its buffer takes sqrt(v_hat) + eps, then
+        # the decay lr*wd*p of the pre-update p.
+        np.divide(self.v, 1.0 - self.b2 ** t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(self.m, 1.0 - self.b1 ** t, out=s)
+        s *= self.lr
+        s /= g
+        np.multiply(p, self.lr * self.weight_decay, out=g)
+        p -= s
+        p -= g

@@ -64,17 +64,29 @@ class Tensor:
         return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # Zero-fill then add, not assign: broadcasting and -0.0 behave as
+        # in a plain sum, and the stored grad never aliases `grad`.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         self.grad += grad
 
     @classmethod
-    def _make(cls, data, parents, backward):
-        out = cls(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+    def _make(cls, data, parents: tuple, backward):
+        # The ops hand over float64 arrays already; only a reduction to a
+        # numpy scalar still needs wrapping.
+        out = object.__new__(cls)
+        out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+        out.grad = None
+        out.requires_grad = False
+        out._backward = None
+        out._parents = ()
+        if _GRAD_ENABLED:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = parents
+                    out._backward = backward
+                    break
         return out
 
     def backward(self, grad=None) -> None:
@@ -248,8 +260,15 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
+                full = np.zeros(self.data.shape)
+                # A basic index (slices, integers) selects each element
+                # once, so `+=` scatters as np.add.at does; an array key
+                # may repeat entries.
+                parts = key if type(key) is tuple else (key,)
+                if all(isinstance(k, (slice, int)) for k in parts):
+                    full[key] += g
+                else:
+                    np.add.at(full, key, g)
                 self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)

@@ -20,7 +20,7 @@ from .context import contribution_select, context_dump, fuse
 from .corpus import Version, load_corpus
 from .diffusion import TrainConfig, train
 from .dlfl import MlpFlConfig, train_mlpfl, virtual_suspiciousness
-from .errors import FaultlabError, IoError
+from .errors import FaultlabError, InvalidConfig, IoError
 from .metrics import MetricsReport, VersionResult, render_table, rimp_csv, summarize
 from .minilang import execute
 from .slicing import default_criterion, fault_context
@@ -41,16 +41,28 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
-        if not self.scenarios:
-            raise ValueError("scenario set must be non-empty")
-        for s in self.scenarios:
-            if s not in aug_mod.SCENARIOS:
-                raise ValueError(f"unknown scenario {s!r}")
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        if self.train.eval_space not in ("full", "context"):
-            raise ValueError("eval_space must be 'full' or 'context'")
+        """Reject every out-of-range knob at once, before the first version runs."""
+        t = self.train
+        problems = [f"unknown scenario {s!r}" for s in self.scenarios
+                    if s not in aug_mod.SCENARIOS]
+        problems += [f"unknown method {m!r}" for m in self.methods if m not in ALL_METHODS]
+        for ok, what in (
+            (self.scenarios, "scenario set must be non-empty"),
+            (self.tie in ("ordinal", "best"), "tie must be 'ordinal' or 'best'"),
+            (t.eval_space in ("full", "context"), "eval_space must be 'full' or 'context'"),
+            (t.alpha >= 0, f"alpha must be >= 0, got {t.alpha}"),
+            (t.steps >= 2, f"steps must be >= 2, got {t.steps}"),
+            (0 < t.beta1 <= t.betaT < 1,
+             f"need 0 < beta1 <= betaT < 1, got {t.beta1}, {t.betaT}"),
+            (t.epochs >= 1, f"epochs must be >= 1, got {t.epochs}"),
+            (t.sample_steps >= 1, f"sample_steps must be >= 1, got {t.sample_steps}"),
+            (t.sample_order in (1, 2), f"sample_order must be 1 or 2, got {t.sample_order}"),
+            (t.fail_cap is None or t.fail_cap >= 1, f"fail_cap must be >= 1, got {t.fail_cap}"),
+        ):
+            if not ok:
+                problems.append(what)
+        if problems:
+            raise InvalidConfig("; ".join(problems))
 
 
 def _substream(root_seed: int, *key) -> np.random.Generator:
@@ -105,10 +117,8 @@ def process_version(version: Version, cfg: RunConfig) -> VersionOutcome:
 
     needs_context = "pcd" in cfg.scenarios or cfg.train.eval_space == "context"
     if needs_context:
-        cap = cfg.train.fail_cap
-        chosen = failing[:cap] if cap else failing
         semantic = fault_context(
-            [(r, default_criterion(r)) for r in chosen], dataset)
+            [(r, default_criterion(r)) for r in failing[:cfg.train.fail_cap]], dataset)
         statistical = contribution_select(dataset.matrix)
         fused = fuse(dataset.matrix, semantic.stm_sc, statistical.stm_pca,
                      alpha=cfg.train.alpha)

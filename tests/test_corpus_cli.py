@@ -12,7 +12,7 @@ from faultlab.corpus import (
     write_corpus,
 )
 from faultlab.diffusion import TrainConfig
-from faultlab.errors import FaultlabError, TemplateError
+from faultlab.errors import FaultlabError, InvalidConfig, TemplateError
 from faultlab.minilang import execute
 from faultlab.pipeline import RunConfig, emit_report, run_pipeline
 
@@ -207,3 +207,59 @@ def test_version_dir_loads_back(tmp_path):
     assert v.program.size == 16
     assert v.mutation.target == 3
     assert len(v.suite) == 6
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "-1"], "alpha must be >= 0"),
+    (["--sample-steps", "0"], "sample_steps must be >= 1"),
+    (["--scenarios", "bogus"], "unknown scenario 'bogus'"),
+    (["--methods", "gp02,nope"], "unknown method 'nope'"),
+    (["--steps", "1"], "steps must be >= 2"),
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--beta1", "0.5", "--betaT", "0.1"], "need 0 < beta1 <= betaT < 1"),
+    (["--fail-cap", "-1"], "fail_cap must be >= 1"),
+    (["--fail-cap", "0"], "fail_cap must be >= 1"),
+])
+def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, message):
+    # the corpus does not exist: validation has to fire before it is read
+    code = main(["run", "--corpus", str(tmp_path / "missing"),
+                 "--out", str(tmp_path / "r")] + flags)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: InvalidConfig: ")
+    assert message in lines[0]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sample_order = 3", "sample_order must be 1 or 2, got 3"),
+    ("eval_space = everywhere", "eval_space must be 'full' or 'context'"),
+    ("tie = worst", "tie must be 'ordinal' or 'best'"),
+])
+def test_config_file_knobs_are_validated(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"corpus = {tmp_path / 'missing'}\n{line}\n")
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+
+
+def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# steps below\nsteps = abc\n")
+    with pytest.raises(InvalidConfig, match=rf"{cfg_file}:2: steps needs a int value"):
+        load_config_file(cfg_file)
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 2
+
+
+@pytest.mark.parametrize("content", [None, "not json {", "[1, 2]", '{"results": {"pcd": 1}}'])
+def test_cli_report_bad_input_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and len(err.splitlines()) == 1

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from faultlab.dlfl import MlpFlConfig, final_loss, train_mlpfl, virtual_suspiciousness
+from faultlab.dlfl import (
+    MlpFlConfig,
+    MlpFlModel,
+    final_loss,
+    train_mlpfl,
+    virtual_suspiciousness,
+)
 from faultlab.errors import SingleClassDataset
+from faultlab.neural import AdamW, Tensor
 from faultlab.spectra import CoverageDataset, rank
 
 
@@ -116,8 +123,38 @@ def test_checkpoint_roundtrip(tmp_path):
     model = train_mlpfl(ds, MlpFlConfig(steps=300, seed=4))
     path = tmp_path / "mlpfl.npz"
     model.save(path)
-    from faultlab.dlfl import MlpFlModel
-
     back = MlpFlModel.load(path)
     assert np.array_equal(virtual_suspiciousness(model),
                           virtual_suspiciousness(back))
+
+
+def _tape_train_mlpfl(dataset, cfg):
+    """The autodiff-tape training loop that the closed-form step replaced."""
+    y = dataset.errors.astype(np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    model = MlpFlModel(rng, dataset.num_statements, cfg.hidden)
+    opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    x = Tensor(dataset.matrix.astype(np.float64))
+    targets = Tensor(y.reshape(-1, 1))
+    for _ in range(cfg.steps):
+        z = model.logits(x)
+        loss = (z.softplus() - targets * z).mean()
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    return model
+
+
+@pytest.mark.parametrize("dataset, cfg", [
+    (_toy_separable(seed=0), MlpFlConfig(steps=300, seed=1)),
+    (_toy_masked(n_pass=40, n_fail=3, seed=5), MlpFlConfig(steps=300, seed=2)),
+    # a rebalanced set on a 4-column fused context, with weight decay
+    (_toy_masked(n_pass=40, n_fail=40, n_stmts=4, fault_col=1, trigger_col=3, seed=7),
+     MlpFlConfig(steps=300, seed=3, weight_decay=0.01)),
+])
+def test_closed_form_step_is_bit_identical_to_tape(dataset, cfg):
+    fast = train_mlpfl(dataset, cfg).named_params()
+    tape = _tape_train_mlpfl(dataset, cfg).named_params()
+    assert list(fast) == list(tape)
+    for name in fast:
+        assert np.array_equal(fast[name].data, tape[name].data), name

@@ -83,6 +83,18 @@ def test_execute_rejects_non_integer_input():
         execute(p, {"gate": "abc"}, {"out": 1})
 
 
+@pytest.mark.parametrize("value", [1.7, 2.0, True, "12"])
+def test_execute_rejects_inputs_int_would_convert(value):
+    p = parse("out = gate * 2\noutput(out)\n")
+    with pytest.raises(InvalidInput):
+        execute(p, {"gate": value}, {"out": 2})
+
+
+def test_execute_accepts_numpy_integers():
+    p = parse("out = gate * 2\noutput(out)\n")
+    assert not execute(p, {"gate": np.int64(3)}, {"out": 6}).failing
+
+
 def test_execute_determinism():
     p = parse("a = 2\nif a > 1 {\n  b = a * 3\n} else {\n  b = 0\n}\noutput(b)\n")
     r1 = execute(p, {}, {"b": 6})

@@ -217,3 +217,117 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     back = Denoiser.load(path)
     for k, p in model.named_params().items():
         assert np.array_equal(p.data, back.named_params()[k].data)
+
+
+class _ReferenceAdamW:
+    """The per-parameter AdamW loop that the flat-buffer optimizer replaced."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params = dict(params)
+        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
+        self.b1, self.b2 = betas
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        for name, p in self.params.items():
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            m, v = self.m[name], self.v[name]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            m_hat = m / (1.0 - self.b1 ** self.t)
+            v_hat = v / (1.0 - self.b2 ** self.t)
+            decay = self.lr * self.weight_decay * p.data
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - decay
+
+
+def test_flat_adamw_is_bit_identical_to_per_parameter_loop():
+    flat_model = Denoiser(seed=2, base=4, groups=2, emb_dim=8)
+    ref_model = Denoiser(seed=2, base=4, groups=2, emb_dim=8)
+    flat = AdamW(flat_model.named_params(), lr=1e-2, weight_decay=0.05)
+    ref = _ReferenceAdamW(ref_model.named_params(), lr=1e-2, weight_decay=0.05)
+    names = list(flat.params)
+    skipped = names[len(names) // 2]
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        for name in names:
+            g = None if name == skipped else rng.normal(size=flat.params[name].shape)
+            flat.params[name].grad = g
+            ref.params[name].grad = g
+        flat.step()
+        ref.step()
+        for name in names:
+            assert np.array_equal(flat.params[name].data, ref.params[name].data), name
+    # every parameter is a view into the one buffer the step updates
+    assert all(np.shares_memory(p.data, flat.flat) for p in flat.params.values())
+
+
+def test_adamw_names_the_parameter_with_a_nan_gradient():
+    model = Denoiser(seed=0, base=4, groups=2, emb_dim=8)
+    params = model.named_params()
+    opt = AdamW(params)
+    for p in params.values():
+        p.grad = np.ones(p.shape)
+    params["res_mid.conv1.w"].grad[0, 0, 1] = np.nan
+    before = opt.flat.copy()
+    with pytest.raises(NonFiniteGradient, match=r"'res_mid\.conv1\.w'"):
+        opt.step()
+    assert np.array_equal(opt.flat, before)   # no parameter was updated
+
+
+def test_adamw_without_parameters_steps():
+    opt = AdamW({})
+    opt.step()
+    assert opt.step_count == 1
+
+
+def test_checkpoint_roundtrip_after_training(tmp_path):
+    from faultlab.diffusion import TrainConfig, make_schedule, train_step
+
+    model = Denoiser(seed=4, base=4, groups=2, emb_dim=8)
+    opt = AdamW(model.named_params(), lr=1e-2)
+    rng = np.random.default_rng(3)
+    sched = make_schedule(50, 1e-4, 0.02)
+    for _ in range(3):
+        train_step(model, opt, np.sign(rng.normal(size=(4, 8))), np.array([0, 1, 0, 1]),
+                   TrainConfig(), sched, rng)
+    path = tmp_path / "trained.npz"
+    model.save(path)
+    back = Denoiser.load(path)
+    for k, p in model.named_params().items():
+        assert np.array_equal(p.data, back.named_params()[k].data)
+
+
+@pytest.mark.parametrize("key", [
+    (slice(None), slice(1, 3), slice(None, None, 2)),   # basic slices
+    np.array([2, 0, 2, 2, 1]),                           # repeated rows
+])
+def test_getitem_backward_scatters_like_add_at(key):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+    out = x[key]
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    expected = np.zeros(x.shape)
+    np.add.at(expected, key, g)
+    assert np.array_equal(x.grad, expected)
+
+
+def test_conv1d_matches_padded_window_im2col():
+    rng = np.random.default_rng(8)
+    for kernel in (1, 3, 5, 7):
+        for shape in ((3, 2, 4), (2, 5, 1), (1, 3, 2), (4, 6, 8)):
+            conv = Conv1d(rng, shape[1], 3, kernel=kernel)
+            x = rng.normal(size=shape)
+            pad = kernel // 2
+            x_pad = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+            windows = np.lib.stride_tricks.sliding_window_view(x_pad, kernel, axis=2)
+            patches = np.ascontiguousarray(windows.transpose(0, 2, 1, 3))
+            patches = patches.reshape(shape[0] * shape[2], shape[1] * kernel)
+            expected = (patches @ conv.w.data.reshape(3, -1).T).reshape(shape[0], shape[2], 3)
+            expected = expected.transpose(0, 2, 1) + conv.b.data[None, :, None]
+            assert np.array_equal(conv(Tensor(x)).data, expected), (kernel, shape)
