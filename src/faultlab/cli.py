@@ -5,9 +5,11 @@ Subcommands:
   run          run scenarios over a corpus and write reports
   report       re-emit report files from a stored report.json
 
-Hyperparameter flags mirror the main-parameter table: --steps --lr
---beta1 --betaT --alpha --gamma --sample-steps.  A config file of
-``key = value`` lines can pre-set any flag; explicit flags win.
+The `run` flags are the run settings of `pipeline.KNOBS`, among them the
+main-parameter table: --steps --lr --op --beta1 --betaT --alpha --gamma
+--sample-steps.  A config file of ``key = value`` lines can pre-set any
+of them, keyed by field name (``output`` for --out, ``reject_empty =
+true|false``); explicit flags win.
 """
 
 from __future__ import annotations
@@ -15,20 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .corpus import generate_corpus, write_corpus
 from .diffusion import TrainConfig
 from .errors import FaultlabError, InvalidConfig, IoError
-from .metrics import MetricsReport, ScenarioMetrics
-from .pipeline import RunConfig, emit_report, run_pipeline
-
-CONFIG_KEYS = {
-    "steps": int, "lr": float, "op": str, "beta1": float, "betaT": float,
-    "alpha": float, "gamma": float, "sample_steps": int, "sample_order": int,
-    "epochs": int, "corpus": str, "scenarios": str, "methods": str,
-    "seed": int, "eval_space": str, "output": str, "tie": str,
-}
+from .metrics import MetricsReport
+from .pipeline import KNOBS, RunConfig, emit_report, run_pipeline
 
 
 def _read_text(path: str, what: str) -> str:
@@ -38,7 +34,29 @@ def _read_text(path: str, what: str) -> str:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _knob_types() -> dict[str, type]:
+    """Each knob's value type (int, float, str or bool) from its field's
+    annotation: an optional field takes its value's type, and a comma list
+    (tuple[str, ...]) is written as one str."""
+    hints = {owner: typing.get_type_hints(owner) for owner in (RunConfig, TrainConfig)}
+    types = {}
+    for knob in KNOBS:
+        hint = hints[knob.owner][knob.field]
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        types[knob.field] = args[0] if args else hint
+    return types
+
+
+def _parse(kind: type, text: str):
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(text)
+        return text == "true"
+    return kind(text)
+
+
 def load_config_file(path: str) -> dict:
+    kinds = _knob_types()
     values = {}
     for line_no, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -47,15 +65,15 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise InvalidConfig(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
+        key, text = key.strip(), value.strip()
+        if key not in kinds:
             raise InvalidConfig(f"{path}:{line_no}: unknown key {key!r}")
-        kind = CONFIG_KEYS[key]
+        kind = kinds[key]
         try:
-            values[key] = kind(value.strip())
+            values[key] = _parse(kind, text)
         except ValueError:
             raise InvalidConfig(f"{path}:{line_no}: {key} needs a {kind.__name__} value, "
-                                f"got {value.strip()!r}") from None
+                                f"got {text!r}") from None
     return values
 
 
@@ -73,26 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the fixed illustrative version")
 
     run = sub.add_parser("run", help="run the localization scenarios")
-    run.add_argument("--config", help="key = value config file")
-    run.add_argument("--corpus")
-    run.add_argument("--out", dest="output")
-    run.add_argument("--scenarios")
-    run.add_argument("--methods")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--steps", type=int, help="diffusion steps")
-    run.add_argument("--lr", type=float)
-    run.add_argument("--op", choices=["adamw"])
-    run.add_argument("--beta1", type=float)
-    run.add_argument("--betaT", type=float)
-    run.add_argument("--alpha", type=float, help="fusion ratio")
-    run.add_argument("--gamma", type=float, help="guidance scale")
-    run.add_argument("--sample-steps", type=int, dest="sample_steps")
-    run.add_argument("--sample-order", type=int, dest="sample_order", choices=[1, 2])
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--eval-space", dest="eval_space", choices=["full", "context"])
-    run.add_argument("--tie", choices=["ordinal", "best"])
-    run.add_argument("--reject-empty", action="store_true")
-    run.add_argument("--fail-cap", type=int, dest="fail_cap")
+    run.add_argument("--config", help="key = value config file; keys: "
+                     + ", ".join(knob.field for knob in KNOBS))
+    kinds = _knob_types()
+    for knob in KNOBS:
+        kind = kinds[knob.field]
+        # a bool flag is None when absent, so that a config file's value stands
+        how = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
+        run.add_argument(knob.flag, dest=knob.field, help=knob.help, **how)
 
     rep = sub.add_parser("report", help="re-emit files from report.json")
     rep.add_argument("--input", required=True, help="path to report.json")
@@ -102,53 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_run_config(args) -> RunConfig:
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    train = TrainConfig()
-    for key in ("steps", "lr", "beta1", "betaT", "alpha", "gamma",
-                "sample_steps", "sample_order", "epochs", "eval_space"):
-        if key in values:
-            setattr(train, key, values[key])
-    if getattr(args, "reject_empty", False):
-        train.reject_empty = True
-    if getattr(args, "fail_cap", None) is not None:
-        train.fail_cap = args.fail_cap
-    if "seed" in values:
-        train.seed = values["seed"]
-    cfg = RunConfig(train=train)
-    if "corpus" in values:
-        cfg.corpus = values["corpus"]
-    if "output" in values:
-        cfg.output = values["output"]
-    if "seed" in values:
-        cfg.seed = values["seed"]
-    if "tie" in values:
-        cfg.tie = values["tie"]
-    if "scenarios" in values:
-        cfg.scenarios = tuple(s.strip() for s in values["scenarios"].split(",") if s.strip())
-    if "methods" in values:
-        cfg.methods = tuple(m.strip() for m in values["methods"].split(",") if m.strip())
+    """Each knob from its flag, else from the config file, else the default."""
+    from_file = load_config_file(args.config) if args.config else {}
+    cfg = RunConfig()
+    for knob in KNOBS:
+        value = getattr(args, knob.field)
+        if value is None:
+            value = from_file.get(knob.field)
+        if value is None:
+            continue
+        target = knob.target(cfg)
+        if isinstance(getattr(target, knob.field), tuple):
+            value = tuple(s.strip() for s in value.split(",") if s.strip())
+        setattr(target, knob.field, value)
     return cfg
-
-
-def _report_from_dict(payload: dict) -> MetricsReport:
-    report = MetricsReport()
-    report.config = payload.get("config", {})
-    report.per_version = payload.get("per_version", [])
-    report.errors = payload.get("errors", [])
-    for scenario, methods in payload.get("results", {}).items():
-        for method, vals in methods.items():
-            report.add(scenario, method, ScenarioMetrics(
-                top1=vals["top1"], top3=vals["top3"], top5=vals["top5"],
-                mfr=vals["mfr"], mar=vals["mar"], versions=vals["versions"],
-                rimp_mfr=vals.get("rimp_mfr"), rimp_mar=vals.get("rimp_mar"),
-            ))
-    return report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -174,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "report":
             try:
-                report = _report_from_dict(json.loads(_read_text(args.input, "report")))
+                report = MetricsReport.from_dict(json.loads(_read_text(args.input, "report")))
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise IoError(f"{args.input} is not a faultlab report.json: {exc!r}") from exc
             formats = tuple(f.strip() for f in args.formats.split(","))

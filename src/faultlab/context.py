@@ -43,13 +43,6 @@ class StatisticalContext:
     contributions: np.ndarray    # (N,) contribution value per statement
     m: int                       # number of leading eigenvectors used
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "stm_pca": self.stm_pca,
-            "contributions": self.contributions.tolist(),
-            "m": self.m,
-        })
-
 
 @dataclass
 class FusedContext:
@@ -58,14 +51,6 @@ class FusedContext:
     alpha: float
     k_f: int                     # fusion size alpha * |StmSC|
     target_dim: int              # K
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "stm_fusion": self.stm_fusion,
-            "alpha": self.alpha,
-            "k_f": self.k_f,
-            "k": self.target_dim,
-        })
 
 
 def eigen_sym(matrix: np.ndarray,

@@ -26,6 +26,7 @@ from .minilang import (
     parse,
     run_reference,
     save_suite,
+    seed_fault,
     ReferenceRunError,
 )
 
@@ -378,7 +379,7 @@ def build_suite(instance: TemplateInstance, rng: np.random.Generator,
     if instance.fixed_suite is not None:
         return list(instance.fixed_suite)
     correct = parse(instance.source)
-    faulty = seed_fault_checked(correct, instance.mutation)
+    faulty = seed_fault(correct, instance.mutation)
     fails: list[TestCase] = []
     passes: list[TestCase] = []
     seen: set[tuple] = set()
@@ -411,16 +412,11 @@ def build_suite(instance: TemplateInstance, rng: np.random.Generator,
     return [case for _, case in ordered]
 
 
-def seed_fault_checked(program: Program, mutation: Mutation) -> Program:
-    from .minilang import seed_fault
-    return seed_fault(program, mutation)
-
-
 def make_version(version_id: str, instance: TemplateInstance,
                  rng: np.random.Generator,
                  n_fail: int | None = None, n_pass: int | None = None) -> Version:
     program = parse(instance.source)
-    faulty = seed_fault_checked(program, instance.mutation)
+    faulty = seed_fault(program, instance.mutation)
     if instance.fixed_suite is None:
         n_fail = n_fail if n_fail is not None else int(rng.integers(2, 4))
         n_pass = n_pass if n_pass is not None else int(rng.integers(6, 10))

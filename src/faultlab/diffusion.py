@@ -93,9 +93,10 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
 class TrainConfig:
     steps: int = 1000            # diffusion steps T
     lr: float = 3e-4
+    op: str = "adamw"            # optimizer; AdamW is the only one
     beta1: float = 1e-4
     betaT: float = 0.02
-    alpha: float = 1.0           # fusion ratio (carried for CLI mirroring)
+    alpha: float = 1.0           # fusion ratio, passed to context.fuse
     gamma: float = 2.0           # guidance scale
     p_uncond: float = 0.1
     batch_size: int | None = None

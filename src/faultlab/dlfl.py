@@ -14,9 +14,7 @@ interpreter cost.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +34,8 @@ class MlpFlConfig:
 
 
 class MlpFlModel(Module):
+    checkpoint_args = ("width", "hidden")
+
     def __init__(self, rng, width: int, hidden: int = 64):
         self.width = width
         self.hidden = hidden
@@ -53,21 +53,9 @@ class MlpFlModel(Module):
         out = self.logits(x).sigmoid()
         return out.data.reshape(-1)
 
-    # same versioned-npz checkpoint layout as the denoiser
-    def save(self, path: str | Path) -> None:
-        meta = {"version": 1, "width": self.width, "hidden": self.hidden}
-        arrays = {name: p.data for name, p in self.named_params().items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(),
-                                              dtype=np.uint8), **arrays)
-
     @classmethod
-    def load(cls, path: str | Path) -> "MlpFlModel":
-        with np.load(path) as blob:
-            meta = json.loads(bytes(blob["__meta__"]).decode())
-            model = cls(np.random.default_rng(0), meta["width"], meta["hidden"])
-            for name, p in model.named_params().items():
-                p.data = blob[name].astype(np.float64)
-        return model
+    def _blank(cls, **args):
+        return cls(np.random.default_rng(0), **args)
 
 
 def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> MlpFlModel:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,20 +77,23 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "results": {
-                scn: {
-                    m: {
-                        "top1": sm.top1, "top3": sm.top3, "top5": sm.top5,
-                        "mfr": sm.mfr, "mar": sm.mar, "versions": sm.versions,
-                        "rimp_mfr": sm.rimp_mfr, "rimp_mar": sm.rimp_mar,
-                    }
-                    for m, sm in methods.items()
-                }
-                for scn, methods in self.cells.items()
-            },
+            "results": {scn: {m: asdict(sm) for m, sm in methods.items()}
+                        for scn, methods in self.cells.items()},
             "per_version": self.per_version,
             "errors": self.errors,
         }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "MetricsReport":
+        """Inverse of `to_dict`; a payload of another shape raises TypeError
+        or AttributeError."""
+        report = cls(config=payload.get("config", {}),
+                     per_version=payload.get("per_version", []),
+                     errors=payload.get("errors", []))
+        for scenario, methods in payload.get("results", {}).items():
+            for method, vals in methods.items():
+                report.add(scenario, method, ScenarioMetrics(**vals))
+        return report
 
 
 def summarize(results_by_cell: dict[tuple[str, str], list[VersionResult]],

@@ -14,9 +14,6 @@ classifier-free training and guidance.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from ..errors import ShapeMismatch
@@ -39,10 +36,10 @@ FAIL_CLASS = 1
 NULL_CLASS = 2
 NUM_CLASSES = 3
 
-CHECKPOINT_VERSION = 1
-
 
 class Denoiser(Module):
+    checkpoint_args = ("base", "groups", "emb_dim")
+
     def __init__(self, seed: int = 0, base: int = 32, groups: int = 8, emb_dim: int = 32):
         rng = np.random.default_rng(seed)
         mid = 2 * base
@@ -100,32 +97,3 @@ class Denoiser(Module):
         """(B, K) -> (B, K) noise prediction as a plain array."""
         out = self(x_t, t, c)
         return out.data.reshape(out.shape[0], out.shape[2])
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "version": CHECKPOINT_VERSION,
-            "base": self.base,
-            "groups": self.groups,
-            "emb_dim": self.emb_dim,
-        }
-        arrays = {name: p.data for name, p in self.named_params().items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Denoiser":
-        with np.load(path) as blob:
-            meta = json.loads(bytes(blob["__meta__"]).decode())
-            if meta["version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta['version']}")
-            model = cls(seed=0, base=meta["base"], groups=meta["groups"],
-                        emb_dim=meta["emb_dim"])
-            params = model.named_params()
-            for name, p in params.items():
-                stored = blob[name]
-                if stored.shape != p.data.shape:
-                    raise ValueError(f"shape mismatch for parameter {name}")
-                p.data = stored.astype(np.float64)
-        return model

@@ -7,6 +7,9 @@ numpy Generator, so a seed pins the whole network.  Activations live in
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from ..errors import ShapeMismatch
@@ -18,7 +21,12 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+CHECKPOINT_VERSION = 1
+
+
 class Module:
+    checkpoint_args: tuple[str, ...] = ()   # constructor arguments a checkpoint records
+
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for attr, value in vars(self).items():
@@ -28,6 +36,38 @@ class Module:
                 for k, v in value.named_params().items():
                     out[f"{attr}.{k}"] = v
         return out
+
+    # -- checkpointing ---------------------------------------------------------
+
+    def save(self, path: str | Path) -> None:
+        """Write an .npz: a `__meta__` JSON blob of the format version and the
+        constructor arguments, then each parameter array under its name."""
+        meta = {"version": CHECKPOINT_VERSION,
+                **{arg: getattr(self, arg) for arg in self.checkpoint_args}}
+        arrays = {name: p.data for name, p in self.named_params().items()}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **arrays)
+
+    @classmethod
+    def load(cls, path: str | Path):
+        """Rebuild a module written by `save`; ValueError for another format
+        version or a parameter of another shape."""
+        with np.load(path) as blob:
+            meta = json.loads(bytes(blob["__meta__"]).decode())
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta['version']}")
+            model = cls._blank(**{arg: meta[arg] for arg in cls.checkpoint_args})
+            for name, p in model.named_params().items():
+                stored = blob[name]
+                if stored.shape != p.data.shape:
+                    raise ValueError(f"shape mismatch for parameter {name}")
+                p.data = stored.astype(np.float64)
+        return model
+
+    @classmethod
+    def _blank(cls, **args):
+        """A module of the recorded shape, for `load` to fill."""
+        return cls(**args)
 
 
 class Dense(Module):

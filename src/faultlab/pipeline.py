@@ -50,6 +50,7 @@ class RunConfig:
             (self.scenarios, "scenario set must be non-empty"),
             (self.tie in ("ordinal", "best"), "tie must be 'ordinal' or 'best'"),
             (t.eval_space in ("full", "context"), "eval_space must be 'full' or 'context'"),
+            (t.op == "adamw", f"op must be 'adamw', got {t.op!r}"),
             (t.alpha >= 0, f"alpha must be >= 0, got {t.alpha}"),
             (t.steps >= 2, f"steps must be >= 2, got {t.steps}"),
             (0 < t.beta1 <= t.betaT < 1,
@@ -63,6 +64,49 @@ class RunConfig:
                 problems.append(what)
         if problems:
             raise InvalidConfig("; ".join(problems))
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One user-settable run setting: a `run` flag, a config-file key and,
+    when reported, a `report.config` key, all named by the field."""
+    owner: type                  # RunConfig or TrainConfig
+    field: str
+    help: str | None = None
+    spelled: str | None = None   # the flag, where it is not --field with dashes
+    reported: bool = True
+
+    @property
+    def flag(self) -> str:
+        return self.spelled or "--" + self.field.replace("_", "-")
+
+    def target(self, cfg: RunConfig):
+        return cfg if self.owner is RunConfig else cfg.train
+
+
+# In report.config order.  Only these fields are settable from the command
+# line; the other TrainConfig fields stay library-only.
+KNOBS = (
+    Knob(RunConfig, "corpus"),
+    Knob(RunConfig, "output", spelled="--out", reported=False),
+    Knob(RunConfig, "scenarios"),
+    Knob(RunConfig, "methods"),
+    Knob(RunConfig, "seed"),
+    Knob(TrainConfig, "eval_space"),
+    Knob(RunConfig, "tie"),
+    Knob(TrainConfig, "steps", help="diffusion steps"),
+    Knob(TrainConfig, "lr"),
+    Knob(TrainConfig, "op"),
+    Knob(TrainConfig, "beta1"),
+    Knob(TrainConfig, "betaT"),
+    Knob(TrainConfig, "alpha", help="fusion ratio"),
+    Knob(TrainConfig, "gamma", help="guidance scale"),
+    Knob(TrainConfig, "sample_steps"),
+    Knob(TrainConfig, "epochs"),
+    Knob(TrainConfig, "sample_order"),
+    Knob(TrainConfig, "reject_empty"),
+    Knob(TrainConfig, "fail_cap"),
+)
 
 
 def _substream(root_seed: int, *key) -> np.random.Generator:
@@ -194,24 +238,12 @@ def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None,
 
     report = summarize(cells)
     report.errors = errors
-    report.config = {
-        "corpus": cfg.corpus,
-        "scenarios": list(cfg.scenarios),
-        "methods": list(cfg.methods),
-        "seed": cfg.seed,
-        "eval_space": cfg.train.eval_space,
-        "tie": cfg.tie,
-        "steps": cfg.train.steps,
-        "lr": cfg.train.lr,
-        "op": "adamw",
-        "beta1": cfg.train.beta1,
-        "betaT": cfg.train.betaT,
-        "alpha": cfg.train.alpha,
-        "gamma": cfg.train.gamma,
-        "sample_steps": cfg.train.sample_steps,
-        "epochs": cfg.train.epochs,
-        "contexts": context_dumps,
-    }
+    report.config = {}
+    for knob in KNOBS:
+        if knob.reported:
+            value = getattr(knob.target(cfg), knob.field)
+            report.config[knob.field] = list(value) if isinstance(value, tuple) else value
+    report.config["contexts"] = context_dumps
     return report
 
 

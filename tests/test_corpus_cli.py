@@ -219,6 +219,7 @@ def test_version_dir_loads_back(tmp_path):
     (["--beta1", "0.5", "--betaT", "0.1"], "need 0 < beta1 <= betaT < 1"),
     (["--fail-cap", "-1"], "fail_cap must be >= 1"),
     (["--fail-cap", "0"], "fail_cap must be >= 1"),
+    (["--op", "sgd"], "op must be 'adamw', got 'sgd'"),
 ])
 def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, message):
     # the corpus does not exist: validation has to fire before it is read
@@ -235,6 +236,7 @@ def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, messag
     ("sample_order = 3", "sample_order must be 1 or 2, got 3"),
     ("eval_space = everywhere", "eval_space must be 'full' or 'context'"),
     ("tie = worst", "tie must be 'ordinal' or 'best'"),
+    ("op = sgd", "op must be 'adamw', got 'sgd'"),
 ])
 def test_config_file_knobs_are_validated(tmp_path, capsys, line, message):
     cfg_file = tmp_path / "run.cfg"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from faultlab.cli import main
+from faultlab.corpus import generate_corpus
 from faultlab.errors import MissingFaults, ZeroBaseline
 from faultlab.metrics import (
+    MetricsReport,
     VersionResult,
     rank_metrics,
     rimp,
@@ -11,6 +14,7 @@ from faultlab.metrics import (
     rimp_csv,
     topk,
 )
+from faultlab.pipeline import RunConfig, emit_report, run_pipeline
 from faultlab.spectra import rank
 
 
@@ -134,3 +138,15 @@ def test_summarize_and_renderers():
     csv_text = rimp_csv(report)
     assert csv_text.splitlines()[0] == "scenario,method,rimp_mfr,rimp_mar"
     assert any(line.startswith("pcd,gp02,") for line in csv_text.splitlines())
+
+
+def test_report_dict_round_trip(tmp_path):
+    cfg = RunConfig(scenarios=("origin", "resample"), methods=("gp02", "dstar"), seed=9)
+    report = run_pipeline(cfg, versions=generate_corpus(3, seed=9))
+    payload = report.to_dict()
+    assert MetricsReport.from_dict(payload).to_dict() == payload
+    emit_report(report, tmp_path / "a", ("json",))
+    assert main(["report", "--input", str(tmp_path / "a" / "report.json"),
+                 "--out", str(tmp_path / "b"), "--formats", "json"]) == 0
+    assert ((tmp_path / "b" / "report.json").read_bytes()
+            == (tmp_path / "a" / "report.json").read_bytes())

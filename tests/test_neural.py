@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from faultlab.dlfl import MlpFlModel
 from faultlab.errors import NonFiniteGradient, ShapeMismatch
 from faultlab.neural import (
     AdamW,
@@ -207,16 +210,64 @@ def test_adamw_rejects_nan_gradient():
         opt.step()
 
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    model = Denoiser(seed=4, base=4, groups=2, emb_dim=8)
+# Each checkpointed model with its constructor arguments as the file's meta records them.
+CHECKPOINT_MODELS = {
+    "denoiser": (lambda: Denoiser(seed=4, base=4, groups=2, emb_dim=8),
+                 {"base": 4, "groups": 2, "emb_dim": 8}),
+    "mlpfl": (lambda: MlpFlModel(np.random.default_rng(4), 6, hidden=5),
+              {"width": 6, "hidden": 5}),
+}
+
+
+def _perturbed(kind):
+    model = CHECKPOINT_MODELS[kind][0]()
     rng = np.random.default_rng(1)
     for p in model.named_params().values():
         p.data = p.data + rng.normal(size=p.data.shape)
+    return model
+
+
+def _write_layout(path, meta, arrays):
+    """The .npz layout by hand: a __meta__ JSON blob, then the named arrays."""
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **arrays)
+
+
+@pytest.mark.parametrize("kind", CHECKPOINT_MODELS)
+def test_checkpoint_roundtrip_bit_exact(tmp_path, kind):
+    model = _perturbed(kind)
     path = tmp_path / "ckpt.npz"
     model.save(path)
-    back = Denoiser.load(path)
+    back = type(model).load(path)
     for k, p in model.named_params().items():
         assert np.array_equal(p.data, back.named_params()[k].data)
+
+
+@pytest.mark.parametrize("kind", CHECKPOINT_MODELS)
+def test_checkpoint_layout_loads_bit_exact(tmp_path, kind):
+    model = _perturbed(kind)
+    arrays = {name: p.data for name, p in model.named_params().items()}
+    path = tmp_path / "layout.npz"
+    _write_layout(path, {"version": 1, **CHECKPOINT_MODELS[kind][1]}, arrays)
+    back = type(model).load(path)
+    assert back.named_params().keys() == arrays.keys()
+    for k, p in back.named_params().items():
+        assert np.array_equal(p.data, arrays[k])
+
+
+@pytest.mark.parametrize("kind", CHECKPOINT_MODELS)
+def test_checkpoint_rejects_wrong_version_or_shape(tmp_path, kind):
+    model = _perturbed(kind)
+    arrays = {name: p.data for name, p in model.named_params().items()}
+    meta = CHECKPOINT_MODELS[kind][1]
+    _write_layout(tmp_path / "v2.npz", {"version": 2, **meta}, arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        type(model).load(tmp_path / "v2.npz")
+    first = next(iter(arrays))
+    arrays[first] = arrays[first][..., :-1]
+    _write_layout(tmp_path / "shape.npz", {"version": 1, **meta}, arrays)
+    with pytest.raises(ValueError, match=f"shape mismatch for parameter {first}"):
+        type(model).load(tmp_path / "shape.npz")
 
 
 class _ReferenceAdamW:
