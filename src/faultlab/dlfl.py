@@ -6,10 +6,11 @@ one-hot virtual test that covers exactly that statement.
 Training minimizes the mean binary cross-entropy with logits,
 mean(softplus(z) - y*z), by full-batch AdamW.  Each step writes the
 forward and backward pass of the three sigmoid layers out in closed form
-with plain numpy instead of recording an autodiff tape.  It uses the same
-array operations in the same order as the tape would, so the trained
-weights are bit-identical to tape-driven training, at a fraction of the
-interpreter cost.
+with plain numpy instead of recording an autodiff tape, and writes the
+six gradients straight into the optimizer's flat gradient buffer.  It uses
+the same array operations in the same order as the tape would, so the
+trained weights are bit-identical to tape-driven training, at a fraction
+of the interpreter cost.
 """
 
 from __future__ import annotations
@@ -58,6 +59,19 @@ class MlpFlModel(Module):
         return cls(np.random.default_rng(0), **args)
 
 
+def _one_plus_exp_neg_(a: np.ndarray) -> np.ndarray:
+    """1 + exp(-a), computed in a's own buffer."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return a
+
+
+def _sigmoid_(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)), computed in a's own buffer."""
+    return np.divide(1.0, _one_plus_exp_neg_(a), out=a)
+
+
 def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> MlpFlModel:
     """Fit failure probability by binary cross-entropy over coverage rows."""
     cfg = cfg or MlpFlConfig()
@@ -71,26 +85,32 @@ def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> Mlp
     y = y.reshape(-1, 1)
     # d(mean)/d(row loss), as the tape's backward of `.mean()` produces it
     g = np.broadcast_to(1.0 * (1.0 / y.size), y.shape).copy()
-    fc1, fc2, fc3 = model.fc1, model.fc2, model.fc3
+    # fc1.w, fc1.b, ..., fc3.b: views into the optimizer's parameter buffer,
+    # updated in place, and into its gradient buffer, written in place.
+    w1, b1, w2, b2, w3, b3 = (p.data for p in opt.params.values())
+    gw1, gb1, gw2, gb2, gw3, gb3 = opt.grad_views().values()
+    gy = (-g) * y          # the y*z node's share of d/dz, the same every step
     for _ in range(cfg.steps):
-        h1 = 1.0 / (1.0 + np.exp(-(x @ fc1.w.data + fc1.b.data)))
-        h2 = 1.0 / (1.0 + np.exp(-(h1 @ fc2.w.data + fc2.b.data)))
-        z = h2 @ fc3.w.data + fc3.b.data
+        h1 = _sigmoid_(x @ w1 + b1)
+        h2 = _sigmoid_(h1 @ w2 + b2)
+        z = h2 @ w3 + b3
         # d/dz of softplus(z) - y*z: one term from each of the tape's nodes
-        g3 = g / (1.0 + np.exp(-z)) + (-g) * y
-        g2 = (g3 @ np.swapaxes(fc3.w.data, -1, -2)) * h2 * (1.0 - h2)
-        g1 = (g2 @ np.swapaxes(fc2.w.data, -1, -2)) * h1 * (1.0 - h1)
-        for fc, h, grad in ((fc1, x, g1), (fc2, h1, g2), (fc3, h2, g3)):
-            fc.w.grad = np.swapaxes(h, -1, -2) @ grad
-            fc.b.grad = grad.sum(axis=0)
-        opt.step()
+        g3 = g / _one_plus_exp_neg_(z)
+        g3 += gy
+        g2 = g3 @ w3.T
+        g2 *= h2
+        g2 *= 1.0 - h2
+        g1 = g2 @ w2.T
+        g1 *= h1
+        g1 *= 1.0 - h1
+        np.matmul(x.T, g1, out=gw1)
+        np.add.reduce(g1, axis=0, out=gb1)
+        np.matmul(h1.T, g2, out=gw2)
+        np.add.reduce(g2, axis=0, out=gb2)
+        np.matmul(h2.T, g3, out=gw3)
+        np.add.reduce(g3, axis=0, out=gb3)
+        opt.step(flat_grad=True)
     return model
-
-
-def final_loss(model: MlpFlModel, dataset: CoverageDataset) -> float:
-    z = model.logits(Tensor(dataset.matrix.astype(np.float64)))
-    y = Tensor(dataset.errors.astype(np.float64).reshape(-1, 1))
-    return float((z.softplus() - y * z).mean().data)
 
 
 def virtual_suspiciousness(model: MlpFlModel) -> np.ndarray:

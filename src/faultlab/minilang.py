@@ -38,6 +38,10 @@ import numpy as np
 from .errors import InvalidInput, InvalidTarget, ParseError
 
 VALUE_LIMIT = 2**63             # an assigned value must stay below this in magnitude
+# The deepest expression tree, and the deepest nesting of '(' and unary '-',
+# that parse accepts: evaluation and the parser recurse once per level, so a
+# deeper expression is a ParseError rather than a RecursionError.
+MAX_EXPR_DEPTH = 100
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -122,11 +126,34 @@ class Program:
 # ---------------------------------------------------------------------------
 # Parser
 
+def _tree_depth(e: "Expr") -> int:
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((a, depth + 1) for a in node.args)
+    return deepest
+
+
 class _ExprParser:
     def __init__(self, tokens, line_no):
         self.tokens = tokens
         self.line_no = line_no
         self.pos = 0
+        self.nesting = 0
+
+    def too_deep(self) -> ParseError:
+        return ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
+                          self.line_no)
+
+    def nested(self, parse_inner) -> Expr:
+        """parse_inner() one level deeper inside '(' or after unary '-'."""
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_DEPTH:
+            raise self.too_deep()
+        e = parse_inner()
+        self.nesting -= 1
+        return e
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -148,6 +175,10 @@ class _ExprParser:
         if self.peek() is not None:
             tok = self.peek()
             raise ParseError(f"trailing input {tok[1]!r}", self.line_no, tok[2])
+        # A long chain such as 1 + 1 + ... nests without recursing here; a
+        # tree is never deeper than its token count, so short lines skip the walk.
+        if len(self.tokens) > MAX_EXPR_DEPTH and _tree_depth(e) > MAX_EXPR_DEPTH:
+            raise self.too_deep()
         return e
 
     def comparison(self) -> Expr:
@@ -177,7 +208,7 @@ class _ExprParser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.take()
-            return Expr("neg", args=(self.unary(),))
+            return Expr("neg", args=(self.nested(self.unary),))
         return self.atom()
 
     def atom(self) -> Expr:
@@ -187,7 +218,7 @@ class _ExprParser:
         if tok[0] == "name":
             return Expr("var", value=tok[1])
         if tok[0] == "op" and tok[1] == "(":
-            e = self.comparison()
+            e = self.nested(self.comparison)
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {tok[1]!r}", self.line_no, tok[2])

@@ -3,6 +3,17 @@
 Weights are initialized with uniform fan-in scaling from an explicit
 numpy Generator, so a seed pins the whole network.  Activations live in
 (batch, channels, width) layout.
+
+Each layer has a plain-array `forward`, returning its output and a cache,
+and a `backward` that takes the output gradient and that cache, adds its
+parameters' gradients and returns the gradient of its input.  `__call__`
+wraps the pair into one tape node, and inference calls `forward` alone.
+Both passes use the numpy operations, operand layouts and summation order
+of the primitive `Tensor` ops that the layers were once composed of, so
+results are the same bit for bit.  Elementwise steps may be regrouped
+freely (an elementwise op gives the same bits under any layout or
+broadcast form); every reduction and matrix product keeps its operand
+layout, axis and order.
 """
 
 from __future__ import annotations
@@ -13,12 +24,27 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .tensor import Tensor, concat, pad_channels
+from .tensor import Tensor, _unbroadcast
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _silu_terms(g: np.ndarray, x: np.ndarray, s: np.ndarray):
+    """The two gradient terms silu(x) = x * sigmoid(x) hands x, in the
+    tape's order: the product's, then the sigmoid's."""
+    return g * s, g * x * s * (1.0 - s)
+
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    by_product, by_sigmoid = _silu_terms(g, x, s)
+    return by_product + by_sigmoid
 
 
 CHECKPOINT_VERSION = 1
@@ -36,6 +62,15 @@ class Module:
                 for k, v in value.named_params().items():
                     out[f"{attr}.{k}"] = v
         return out
+
+    def _node(self, out: np.ndarray, inputs: tuple, backward) -> Tensor:
+        """One tape node for the whole layer; its parameters are parents too,
+        so a constant input still records.  The parameter tuple is cached:
+        training replaces `p.data`, never the Tensor `p`."""
+        params = self.__dict__.get("_params")
+        if params is None:
+            params = self._params = tuple(self.named_params().values())
+        return Tensor._make(out, inputs + params, backward)
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -86,6 +121,18 @@ class Dense(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.w + self.b
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.w.data + self.b.data
+
+    def backward(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Gradient of x for `forward(x)`, whose output gradient is g."""
+        w, b = self.w, self.b
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape))
+        return g @ np.swapaxes(w.data, -1, -2)
+
 
 class Conv1d(Module):
     """Same-padded 1-D convolution, stride 1, odd kernel."""
@@ -98,38 +145,56 @@ class Conv1d(Module):
         self.b = Tensor(_uniform(rng, (c_out,), fan_in), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        w, b, k = self.w, self.b, self.kernel
+        out, cache = self.forward(x.data)
+
+        def backward(g):
+            dx = self.backward(g, cache, need_dx=x.requires_grad)
+            if dx is not None:
+                x._accumulate(dx)
+
+        return self._node(out, (x,), backward)
+
+    def forward(self, x: np.ndarray):
+        k = self.kernel
         pad = k // 2
-        xd = x.data
-        batch, c_in, width = xd.shape
-        c_out = w.shape[0]
+        batch, c_in, width = x.shape
+        c_out = self.w.shape[0]
         # im2col: contiguous (B*W, C*k) patches so the product hits BLAS.
         # Tap j reads position w + j - pad; taps past either edge stay zero.
         patches = np.zeros((batch, width, c_in, k))
-        xt = xd.transpose(0, 2, 1)
+        xt = x.transpose(0, 2, 1)
         for j in range(k):
             lo, hi = max(0, pad - j), min(width, width + pad - j)
             if lo < hi:
                 patches[:, lo:hi, :, j] = xt[:, lo + j - pad:hi + j - pad]
         patches = patches.reshape(batch * width, c_in * k)
-        w2 = w.data.reshape(c_out, c_in * k)
-        out_data = (patches @ w2.T).reshape(batch, width, c_out)
-        out_data = out_data.transpose(0, 2, 1) + b.data[None, :, None]
+        w2 = self.w.data.reshape(c_out, c_in * k)
+        out = (patches @ w2.T).reshape(batch, width, c_out)
+        # The output keeps this (B, W, C) memory order: the reductions and
+        # products downstream were written against it.
+        return out.transpose(0, 2, 1) + self.b.data[None, :, None], (patches, w2, x.shape)
 
-        def backward(g):
-            g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * width, c_out)
-            if w.requires_grad:
-                w._accumulate((g2.T @ patches).reshape(c_out, c_in, k))
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=(0, 2)))
-            if x.requires_grad:
-                dwin = (g2 @ w2).reshape(batch, width, c_in, k).transpose(0, 2, 1, 3)
-                dx_pad = np.zeros((batch, c_in, width + 2 * pad))
-                for j in range(k):
-                    dx_pad[:, :, j:j + width] += dwin[:, :, :, j]
-                x._accumulate(dx_pad[:, :, pad:pad + width])
-
-        return Tensor._make(out_data, (x, w, b), backward)
+    def backward(self, g: np.ndarray, cache, need_dx: bool = True):
+        patches, w2, (batch, c_in, width) = cache
+        w, b, k = self.w, self.b, self.kernel
+        pad = k // 2
+        c_out = w2.shape[0]
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * width, c_out)
+        if w.requires_grad:
+            w._accumulate((g2.T @ patches).reshape(c_out, c_in, k))
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2)))
+        if not need_dx:
+            return None
+        dwin = (g2 @ w2).reshape(batch, width, c_in, k)
+        if k == 1:
+            return np.ascontiguousarray(dwin[:, :, :, 0].transpose(0, 2, 1))
+        # Scatter tap j back to position w + j - pad, taps in order, in the
+        # (B, W, C) layout the product comes out in.
+        dx_pad = np.zeros((batch, width + 2 * pad, c_in))
+        for j in range(k):
+            dx_pad[:, j:j + width, :] += dwin[:, :, :, j]
+        return np.ascontiguousarray(dx_pad[:, pad:pad + width, :].transpose(0, 2, 1))
 
 
 class GroupNorm(Module):
@@ -144,13 +209,43 @@ class GroupNorm(Module):
         self.beta = Tensor(np.zeros((channels, 1)), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
+        out, cache = self.forward(x.data)
+
+        def backward(g):
+            gx = self.backward(g, cache)
+            if x.requires_grad:
+                x._accumulate(gx)
+
+        return self._node(out, (x,), backward)
+
+    def forward(self, x: np.ndarray):
         batch, channels, width = x.shape
         xg = x.reshape(batch, self.groups, -1)
-        mu = xg.mean(axis=2, keepdims=True)
-        centered = xg - mu
-        var = centered.pow(2.0).mean(axis=2, keepdims=True)
-        normed = centered * (var + self.eps).pow(-0.5)
-        return normed.reshape(batch, channels, width) * self.gamma + self.beta
+        inv = 1.0 / xg.shape[2]
+        centered = xg - xg.sum(axis=2, keepdims=True) * inv
+        var_eps = (centered ** 2.0).sum(axis=2, keepdims=True) * inv + self.eps
+        scale = var_eps ** -0.5
+        normed = (centered * scale).reshape(batch, channels * width)
+        # The affine step as (B, C*W) rows: one long inner loop per sample.
+        gamma = np.repeat(self.gamma.data, width)
+        out = (normed * gamma + np.repeat(self.beta.data, width)).reshape(x.shape)
+        return out, (centered, var_eps, scale, normed, gamma, inv)
+
+    def backward(self, g: np.ndarray, cache) -> np.ndarray:
+        centered, var_eps, scale, normed, gamma_row, inv = cache
+        gamma, beta = self.gamma, self.beta
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * normed.reshape(g.shape), gamma.shape))
+        g_normed = (g.reshape(normed.shape) * gamma_row).reshape(centered.shape)
+        g_scale = _unbroadcast(g_normed * centered, scale.shape)
+        g_sumsq = g_scale * -0.5 * var_eps ** -1.5 * inv
+        # centered feeds the normalization and the variance: two terms
+        g_centered = g_normed * scale + g_sumsq * 2.0 * centered
+        # and it is xg - mean(xg): the mean's share comes back summed
+        g_mean = -_unbroadcast(g_centered, scale.shape) * inv
+        return (g_centered + g_mean).reshape(g.shape)
 
 
 class Attention(Module):
@@ -163,14 +258,45 @@ class Attention(Module):
         self.proj = Conv1d(rng, channels, channels, kernel=1)
 
     def __call__(self, x: Tensor) -> Tensor:
+        out, cache = self.forward(x.data)
+
+        def backward(g):
+            for part in self.backward(g, cache):
+                if x.requires_grad:
+                    x._accumulate(part)
+
+        return self._node(out, (x,), backward)
+
+    def forward(self, x: np.ndarray):
         c = self.channels
-        h = self.norm(x)
-        qkv = self.qkv(h)
-        q, k, v = qkv[:, :c, :], qkv[:, c:2 * c, :], qkv[:, 2 * c:, :]
-        scores = q.swapaxes(1, 2) @ k * (1.0 / np.sqrt(c))   # (B, W, W)
-        attn = scores.softmax()
-        out = v @ attn.swapaxes(1, 2)                         # (B, C, W)
-        return x + self.proj(out)
+        h, norm_cache = self.norm.forward(x)
+        qkv, qkv_cache = self.qkv.forward(h)
+        q_t = np.swapaxes(qkv[:, :c, :], 1, 2)
+        k, v = qkv[:, c:2 * c, :], qkv[:, 2 * c:, :]
+        scores = q_t @ k * (1.0 / np.sqrt(c))                  # (B, W, W)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        attn_t = np.swapaxes(attn, 1, 2)
+        out, proj_cache = self.proj.forward(v @ attn_t)       # (B, C, W)
+        return x + out, (norm_cache, qkv_cache, q_t, k, v, attn, attn_t, proj_cache)
+
+    def backward(self, g: np.ndarray, cache):
+        """x's two gradient terms in the tape's order: the residual's, then
+        the normalization's."""
+        norm_cache, qkv_cache, q_t, k, v, attn, attn_t, proj_cache = cache
+        c = self.channels
+        g_out = self.proj.backward(g, proj_cache)
+        g_v = g_out @ np.swapaxes(attn_t, -1, -2)
+        # a C-ordered copy, as the tape stored it: the sum below reads that layout
+        g_attn = np.ascontiguousarray(np.swapaxes(np.swapaxes(v, -1, -2) @ g_out, 1, 2))
+        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - dot) * (1.0 / np.sqrt(c))
+        g_q_t = g_scores @ np.swapaxes(k, -1, -2)
+        g_k = np.swapaxes(q_t, -1, -2) @ g_scores
+        # q, k and v are disjoint slices of one tensor
+        g_qkv = np.concatenate([np.swapaxes(g_q_t, 1, 2), g_k, g_v], axis=1)
+        g_h = self.qkv.backward(g_qkv, qkv_cache)
+        return g, self.norm.backward(g_h, norm_cache)
 
 
 class Embedding(Module):
@@ -179,7 +305,21 @@ class Embedding(Module):
                             requires_grad=True)
 
     def __call__(self, idx: np.ndarray) -> Tensor:
-        return self.table[np.asarray(idx, dtype=np.intp)]
+        idx = np.asarray(idx, dtype=np.intp)
+
+        def backward(g):
+            self.backward(g, idx)
+
+        return self._node(self.forward(idx), (), backward)
+
+    def forward(self, idx: np.ndarray) -> np.ndarray:
+        return self.table.data[idx]
+
+    def backward(self, g: np.ndarray, idx: np.ndarray) -> None:
+        if self.table.requires_grad:
+            full = np.zeros(self.table.shape)
+            np.add.at(full, idx, g)      # a row may repeat
+            self.table._accumulate(full)
 
 
 class ResidualBlock(Module):
@@ -199,26 +339,74 @@ class ResidualBlock(Module):
         self.conv2 = Conv1d(rng, c_out, c_out)
 
     def __call__(self, x: Tensor, emb: Tensor) -> Tensor:
-        h = self.conv1(self.norm1(x).silu())
-        shift = self.emb_proj(emb.silu())
+        out, cache = self.forward(x.data, emb.data)
+
+        def backward(g):
+            x_parts, emb_parts = self.backward(g, cache)
+            for t, parts in ((x, x_parts), (emb, emb_parts)):
+                if t.requires_grad:
+                    for part in parts:
+                        t._accumulate(part)
+
+        return self._node(out, (x, emb), backward)
+
+    def forward(self, x: np.ndarray, emb: np.ndarray):
+        n1, n1_cache = self.norm1.forward(x)
+        s1 = _sigmoid(n1)
+        h, c1_cache = self.conv1.forward(n1 * s1)
+        es = _sigmoid(emb)
+        ea = emb * es
+        shift = self.emb_proj.forward(ea)
         h = h + shift.reshape(shift.shape[0], self.c_out, 1)
-        h = self.conv2(self.norm2(h).silu())
+        n2, n2_cache = self.norm2.forward(h)
+        s2 = _sigmoid(n2)
+        h, c2_cache = self.conv2.forward(n2 * s2)
         if self.c_in == self.c_out:
             shortcut = x
         elif self.c_in < self.c_out:
-            shortcut = pad_channels(x, self.c_out)
+            shortcut = np.zeros((x.shape[0], self.c_out, x.shape[2]))
+            shortcut[:, :self.c_in, :] = x
         else:
             shortcut = x[:, :self.c_out, :]
-        return h + shortcut
+        cache = (x.shape, n1, s1, n1_cache, c1_cache, emb, es, ea, n2, s2, n2_cache, c2_cache)
+        return h + shortcut, cache
+
+    def backward(self, g: np.ndarray, cache):
+        """(x's terms, emb's terms), each in the tape's order: x gets the
+        shortcut's then the first norm's; emb its silu's two."""
+        x_shape, n1, s1, n1_cache, c1_cache, emb, es, ea, n2, s2, n2_cache, c2_cache = cache
+        if self.c_in == self.c_out:
+            g_short = g
+        elif self.c_in < self.c_out:
+            g_short = g[:, :self.c_in, :]
+        else:
+            g_short = np.zeros(x_shape)
+            g_short[:, :self.c_out, :] = g
+        g_h = self.norm2.backward(_silu_grad(self.conv2.backward(g, c2_cache), n2, s2),
+                                  n2_cache)
+        g_shift = _unbroadcast(g_h, (g_h.shape[0], self.c_out, 1)).reshape(g_h.shape[:2])
+        emb_terms = _silu_terms(self.emb_proj.backward(g_shift, ea), emb, es)
+        g_n1 = _silu_grad(self.conv1.backward(g_h, c1_cache), n1, s1)
+        return (g_short, self.norm1.backward(g_n1, n1_cache)), emb_terms
 
 
 def avg_pool1d(x: Tensor, factor: int = 2) -> Tensor:
+    out = pool_forward(x.data, factor)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.repeat(g * (1.0 / factor), factor, axis=2))
+
+    return Tensor._make(out, (x,), backward)
+
+
+def pool_forward(x: np.ndarray, factor: int = 2) -> np.ndarray:
+    """`avg_pool1d` on a plain array."""
     if x.shape[2] % factor != 0:
         raise ShapeMismatch(f"width {x.shape[2]} not divisible by {factor}")
-    parts = [x[:, :, i::factor] for i in range(factor)]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
+    out = x[:, :, 0::factor]
+    for i in range(1, factor):
+        out = out + x[:, :, i::factor]
     return out * (1.0 / factor)
 
 
@@ -233,17 +421,18 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def sinusoidal_embedding(t: np.ndarray, dim: int) -> Tensor:
+def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     """Classic sin/cos position code; accepts integer or fractional steps."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     half = dim // 2
     freqs = np.exp(-np.log(10_000.0) * np.arange(half) / max(half - 1, 1))
     args = t[:, None] * freqs[None, :]
-    return Tensor(np.concatenate([np.sin(args), np.cos(args)], axis=1))
+    return np.concatenate([np.sin(args), np.cos(args)], axis=1)
+
 
 
 __all__ = [
     "Module", "Dense", "Conv1d", "GroupNorm", "Attention", "Embedding",
-    "ResidualBlock", "avg_pool1d", "upsample_nearest", "sinusoidal_embedding",
-    "concat",
+    "ResidualBlock", "avg_pool1d", "pool_forward", "upsample_nearest",
+    "sinusoidal_embedding",
 ]

@@ -16,6 +16,10 @@ per-element operation order of the formula above, so the result is the
 same, bit for bit, as updating each parameter on its own.  A missing
 gradient counts as zero.  Assigning a new array to `p.data` after
 construction detaches that parameter from the optimizer.
+
+A caller that computes its gradients by hand can write them in place into
+`grad_views()` and call `step(flat_grad=True)`, which skips gathering
+`p.grad` into the buffer.
 """
 
 from __future__ import annotations
@@ -48,18 +52,27 @@ class AdamW:
         self._grad = np.zeros_like(self.flat)
         self._scratch = np.zeros_like(self.flat)
 
+    def grad_views(self) -> dict[str, np.ndarray]:
+        """Each parameter's slice of the flat gradient buffer, in its shape.
+        `step` reuses the buffer as scratch, so a step with `flat_grad`
+        needs every view rewritten first."""
+        return {name: self._grad[lo:hi].reshape(p.data.shape)
+                for (name, p), lo, hi in zip(self.params.items(), self._bounds[:-1],
+                                             self._bounds[1:])}
+
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
-    def step(self) -> None:
+    def step(self, flat_grad: bool = False) -> None:
         self.step_count += 1
         t = self.step_count
         if not self.params:
             return
         g, s, p = self._grad, self._scratch, self.flat
-        np.concatenate([np.zeros(q.data.size) if q.grad is None else q.grad.reshape(-1)
-                        for q in self.params.values()], out=g)
+        if not flat_grad:
+            np.concatenate([np.zeros(q.data.size) if q.grad is None else q.grad.reshape(-1)
+                            for q in self.params.values()], out=g)
         if not np.isfinite(g).all():
             for name, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:]):
                 if not np.isfinite(g[lo:hi]).all():

@@ -1,8 +1,9 @@
 """Reverse-mode autodiff over numpy arrays, float64 throughout.
 
-Only the operations the denoiser needs are implemented.  Gradients flow
-through a recorded tape; `no_grad()` disables recording for sampling
-loops.  Broadcasting in elementwise ops is undone in the backward pass by
+Gradients flow through a recorded tape; `no_grad()` disables recording.
+The primitive ops here cover the diffusion loss and the dense layers;
+each denoiser layer records itself as a single node (see `layers`).
+Broadcasting in elementwise ops is undone in the backward pass by
 summing over the broadcast axes.
 """
 
@@ -102,7 +103,8 @@ class Tensor:
                 n, it = stack[-1]
                 advanced = False
                 for p in it:
-                    if id(p) not in seen and p.requires_grad:
+                    # Leaves have no backward, so they stay out of the order.
+                    if p._backward is not None and id(p) not in seen:
                         seen.add(id(p))
                         stack.append((p, iter(p._parents)))
                         advanced = True
@@ -142,9 +144,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         other = self._lift(other)
         out_data = self.data * other.data
@@ -159,59 +158,12 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def pow(self, p: float):
-        out_data = self.data ** p
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * p * self.data ** (p - 1.0))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return self * other.pow(-1.0)
-
-    def sqrt(self):
-        return self.pow(0.5)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def silu(self):
-        return self * self.sigmoid()
-
-    def softplus(self):
-        # log(1 + e^x), computed stably; derivative is sigmoid(x)
-        out_data = np.logaddexp(0.0, self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / (1.0 + np.exp(-self.data)))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -246,33 +198,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def swapaxes(self, a: int, b: int):
-        out_data = np.swapaxes(self.data, a, b)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(g, a, b))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __getitem__(self, key):
-        out_data = self.data[key]
-
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros(self.data.shape)
-                # A basic index (slices, integers) selects each element
-                # once, so `+=` scatters as np.add.at does; an array key
-                # may repeat entries.
-                parts = key if type(key) is tuple else (key,)
-                if all(isinstance(k, (slice, int)) for k in parts):
-                    full[key] += g
-                else:
-                    np.add.at(full, key, g)
-                self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
-
     # -- linear algebra ----------------------------------------------------
 
     def matmul(self, other: "Tensor"):
@@ -291,20 +216,6 @@ class Tensor:
 
     __matmul__ = matmul
 
-    # -- softmax over the last axis -----------------------------------------
-
-    def softmax(self):
-        shifted = self.data - self.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=-1, keepdims=True)
-
-        def backward(g):
-            if self.requires_grad:
-                dot = (g * out_data).sum(axis=-1, keepdims=True)
-                self._accumulate(out_data * (g - dot))
-
-        return Tensor._make(out_data, (self,), backward)
-
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -320,17 +231,3 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
             start += size
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def pad_channels(x: Tensor, new_channels: int) -> Tensor:
-    """Zero-pad axis 1 of (B, C, W) up to new_channels."""
-    b, c, w = x.shape
-    assert new_channels >= c
-    out_data = np.zeros((b, new_channels, w), dtype=np.float64)
-    out_data[:, :c, :] = x.data
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[:, :c, :])
-
-    return Tensor._make(out_data, (x,), backward)

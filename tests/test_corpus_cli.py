@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -265,3 +268,38 @@ def test_cli_report_bad_input_exits_2(tmp_path, capsys, content):
     assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("io error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_run_reports_too_deep_expression_as_parse_error(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    main(["corpus", "gen", "--out", str(corpus_dir), "--count", "2", "--seed", "4"])
+    faulty = corpus_dir / "v001_masked_scale" / "faulty.txt"
+    lines = faulty.read_text().splitlines()
+    lines.insert(1, "zz = " + " + ".join(["1"] * 20_000))
+    faulty.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--corpus", str(corpus_dir), "--out", str(tmp_path / "r"),
+                 "--scenarios", "origin", "--methods", "gp02", "--seed", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ParseError" in err and "(line 2)" in err
+    assert "Traceback" not in err
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["corpus", "gen", "--out", str(corpus_dir), "--count", "3", "--seed", "4"]) == 0
+    root = Path(__file__).resolve().parent.parent
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from faultlab.cli import main; sys.exit(main())",
+             "run", "--corpus", str(corpus_dir), "--out", str(out), "--scenarios", "pcd",
+             "--methods", "gp02,mlpfl", "--seed", "4", "--epochs", "20"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -4,13 +4,20 @@ import pytest
 from faultlab.dlfl import (
     MlpFlConfig,
     MlpFlModel,
-    final_loss,
     train_mlpfl,
     virtual_suspiciousness,
 )
 from faultlab.errors import SingleClassDataset
 from faultlab.neural import AdamW, Tensor
 from faultlab.spectra import CoverageDataset, rank
+from tape_oracle import softplus
+
+
+def final_loss(model: MlpFlModel, dataset: CoverageDataset) -> float:
+    """Mean binary cross-entropy with logits, mean(softplus(z) - y*z)."""
+    z = model.logits(Tensor(dataset.matrix.astype(np.float64))).data
+    y = dataset.errors.astype(np.float64).reshape(-1, 1)
+    return float((np.logaddexp(0.0, z) - y * z).mean())
 
 
 def _toy_separable(n_pass=18, n_fail=6, n_stmts=8, fault_col=2, seed=0):
@@ -138,7 +145,7 @@ def _tape_train_mlpfl(dataset, cfg):
     targets = Tensor(y.reshape(-1, 1))
     for _ in range(cfg.steps):
         z = model.logits(x)
-        loss = (z.softplus() - targets * z).mean()
+        loss = (softplus(z) - targets * z).mean()
         opt.zero_grad()
         loss.backward()
         opt.step()

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from faultlab.errors import InvalidInput, InvalidTarget, ParseError
-from faultlab.minilang import Mutation, execute, parse, seed_fault, tokenize_line
+from faultlab.minilang import (
+    MAX_EXPR_DEPTH,
+    Mutation,
+    execute,
+    parse,
+    seed_fault,
+    tokenize_line,
+)
 from randprog import gen_random_program
 
 
@@ -187,3 +194,28 @@ def test_output_events_record_statement_and_value():
     assert [(e.stmt, e.value) for e in rec.output_events] == [(2, 4), (4, 5)]
     assert rec.outputs == {"a": 5}
     assert rec.verdict == "pass"
+
+
+def test_deeply_nested_parentheses_are_a_parse_error():
+    src = "a = 1\nx = " + "(" * 3000 + "1" + ")" * 3000 + "\n"
+    with pytest.raises(ParseError, match=f"deeper than {MAX_EXPR_DEPTH}") as exc:
+        parse(src)
+    assert exc.value.line == 2
+    with pytest.raises(ParseError):
+        parse("x = " + "-" * 3000 + "1\n")
+
+
+def test_long_operator_chain_is_a_parse_error():
+    # a left-deep tree: the parser loops, but evaluation would recurse per term
+    src = "zz = " + " + ".join(["1"] * 20_000) + "\noutput(zz)\n"
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert exc.value.line == 1
+
+
+def test_expression_at_the_depth_cap_runs():
+    n = MAX_EXPR_DEPTH
+    src = ("x = " + "(" * n + "2" + ")" * n + "\n"
+           "y = " + " + ".join(["x"] * n) + "\n"
+           "output(y)\n")
+    assert execute(parse(src), {}, {"y": 2 * n}).verdict == "pass"
