@@ -9,7 +9,9 @@ Two cooperating selections feed the generative model:
   statistical ranking, truncated to the model's width.
 
 The symmetric eigensolver is a round-robin (parallel-ordered) Jacobi
-iteration over the rows with non-zero off-diagonal entries.  It uses only
+iteration over the rows with non-zero off-diagonal entries.  It rotates
+only that live block, kept transposed so that the column update gathers
+contiguous rows, from index plans built once per call.  It uses only
 elementwise numpy operations, never a linear-algebra backend, so the
 selection is reproducible bit-for-bit.  Columns that are equal up to shift
 and sign tie exactly in contribution, so the index tie-break orders them.
@@ -53,6 +55,28 @@ class FusedContext:
     target_dim: int              # K
 
 
+def _sweep_plan(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Index plan of one sweep over k >= 2 live rows, one entry per round.
+
+    Modulus ordering (Luk & Park, 1989): with m = k rounds for odd k and
+    k - 1 for even k, round r pairs i < j < m with i + j = r mod m, and m
+    with the i where 2i = r mod m.  Pairs in a round are disjoint, so their
+    rotations commute.  Each round holds (p, q) in that pair order as pq,
+    then (p, q, q, p) as pqqp, and the flat indices into the (k, 2k) stack
+    of a[p, q], a[p, p] and a[q, q], each twice (see eigen_sym).
+    """
+    m = k - 1 + k % 2
+    i, j = np.triu_indices(k, 1)
+    r = np.where(j < m, i + j, 2 * i) % m
+    by_round = np.argsort(r, kind="stable")      # keeps the pair order within a round
+    p, q = i[by_round].reshape(m, -1), j[by_round].reshape(m, -1)
+    width = 2 * k
+    apq, app, aqq = q * width + p, p * (width + 1), q * (width + 1)
+    pq = np.hstack((p, q))
+    return list(zip(pq, np.hstack((pq, q, p)),
+                    np.hstack((apq, apq, app, app, aqq, aqq))))
+
+
 def eigen_sym(matrix: np.ndarray,
               off_tol: float = JACOBI_OFF_TOL,
               max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
@@ -68,51 +92,64 @@ def eigen_sym(matrix: np.ndarray,
     if not np.allclose(a, a.T, atol=SYMMETRY_TOL, rtol=0.0):
         raise NotSymmetric("matrix is not symmetric within 1e-9")
     n = a.shape[0]
-    av = np.vstack([(a + a.T) / 2.0, np.eye(n)])   # one column update serves a and v
-    a, v = av[:n], av[n:]
+    a = (a + a.T) / 2.0
+    # Rotations only mix the k rows with a non-zero off-diagonal entry, so
+    # only the k x k live block of a and of v = I changes.  Row j of the
+    # stack st holds column j of both blocks: the column update of [a; v]
+    # is a row update of st, and the row update of a is a column update of
+    # its a^T block.
+    live = np.flatnonzero(np.any((a != 0.0) & ~np.eye(n, dtype=bool), axis=1))
+    k = len(live)
+    block = np.ix_(live, live)
+    st = np.hstack((a[block].T, np.eye(k)))
+    at, flat = st[:, :k], st.reshape(-1)
 
-    def off_norm(mat):
-        off = mat - np.diag(np.diag(mat))
+    def off_norm():
+        # Summed over the full matrix: the live block alone would group
+        # numpy's pairwise sum differently.
+        a[block] = at.T
+        off = a - np.diag(np.diag(a))
         return np.sqrt(np.sum(off * off))
 
-    live = np.flatnonzero(np.any((a != 0.0) & ~np.eye(n, dtype=bool), axis=1))
-    # A sweep pairs the k rows not yet diagonal in m rounds of disjoint, so
-    # commuting, rotations.  Modulus ordering (Luk & Park, 1989): round r
-    # pairs i < j < m with i + j = r mod m, and m with the i where 2i = r mod m.
-    k = len(live)
-    m = k - 1 + k % 2
-    i, j = np.triu_indices(k, 1)
-    r = np.where(j < m, i + j, 2 * i) % m
-    rounds = [(live[i[r == x]], live[j[r == x]]) for x in range(m)]
-
+    plan = _sweep_plan(k) if k else []
+    h2 = k // 2 * 2                              # rotations per round, times two
     for _ in range(max_sweeps):
-        if off_norm(a) < off_tol:
+        if off_norm() < off_tol:
             break
-        for p, q in rounds:
-            apq = a[p, q]
-            rotated = apq != 0.0
-            p, q, apq = p[rotated], q[rotated], apq[rotated]
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+        for pq, pqqp, entries in plan:
+            # a[p, q], a[p, p], a[q, q], each twice: for the p- and q-halves of pq.
+            val = flat.take(entries)
+            apq, app, aqq = val[:h2], val[h2:2 * h2], val[2 * h2:]
+            if np.count_nonzero(apq) < h2:       # rotate only pairs with a[p, q] != 0
+                rotated = apq != 0.0
+                if not rotated.any():
+                    continue
+                apq, app, aqq = apq[rotated], app[rotated], aqq[rotated]
+                pq, pqqp = pq[rotated], pqqp[np.concatenate((rotated, rotated))]
+            theta = (aqq - app) / (2.0 * apq)
             t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             t[theta == 0.0] = 1.0
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
-            pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-            cc, ss = np.concatenate((c, c)), np.concatenate((-s, s))
-            for mat in (a.T, av):        # rows of a, then columns of a and v
-                mat[:, pq] = mat[:, pq] * cc + mat[:, qp] * ss
+            half = len(c)
+            cs = np.concatenate((c, -s[:half // 2], s[half // 2:]))   # cc, then ss
+            x = at.take(pqqp, axis=1) * cs       # rows of a ...
+            at[:, pq] = x[:, :half] + x[:, half:]
+            x = st.take(pqqp, axis=0) * cs[:, None]   # ... then columns of a and v
+            st[pq] = x[:half] + x[half:]
     else:
-        if off_norm(a) >= off_tol:
+        if off_norm() >= off_tol:
             raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
 
+    # The last off_norm() call wrote the final block back into a.
+    v = np.eye(n)
+    v[block] = st[:, k:].T
     eigvals = np.diag(a).copy()
     order = sorted(range(n), key=lambda i: (-eigvals[i], i))
     eigvals = eigvals[order]
     vecs = v[:, order]
-    for k in range(n):
-        col = vecs[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            vecs[:, k] = -col
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    vecs[:, lead < 0] *= -1.0
     return eigvals, vecs
 
 

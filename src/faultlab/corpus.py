@@ -503,10 +503,17 @@ def load_version(vdir: str | Path) -> Version:
     )
 
 
-def load_corpus(corpus_dir: str | Path) -> list[Version]:
+def read_manifest(corpus_dir: str | Path) -> list[str]:
+    """The corpus's version ids, in manifest order."""
     corpus_dir = Path(corpus_dir)
     try:
         version_ids = json.loads((corpus_dir / "manifest.json").read_text())["versions"]
     except _READ_ERRORS as exc:
         raise IoError(f"cannot load corpus {corpus_dir}: {type(exc).__name__}: {exc}") from exc
-    return [load_version(corpus_dir / vid) for vid in version_ids]
+    if not isinstance(version_ids, list) or not all(isinstance(v, str) for v in version_ids):
+        raise IoError(f"cannot load corpus {corpus_dir}: 'versions' is not a list of ids")
+    return version_ids
+
+
+def load_corpus(corpus_dir: str | Path) -> list[Version]:
+    return [load_version(Path(corpus_dir) / vid) for vid in read_manifest(corpus_dir)]

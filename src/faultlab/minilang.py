@@ -42,6 +42,9 @@ VALUE_LIMIT = 2**63             # an assigned value must stay below this in magn
 # that parse accepts: evaluation and the parser recurse once per level, so a
 # deeper expression is a ParseError rather than a RecursionError.
 MAX_EXPR_DEPTH = 100
+# The deepest nesting of if/while blocks that parse accepts: execution
+# recurses once per block, so a deeper program is a ParseError as well.
+MAX_BLOCK_DEPTH = 100
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -268,6 +271,9 @@ def parse(source: str) -> Program:
         if kind == "kw" and value in ("if", "while"):
             if tokens[-1][:2] != ("op", "{"):
                 raise ParseError(f"'{value}' line must end with '{{'", line_no, col)
+            if len(stack) > MAX_BLOCK_DEPTH:
+                raise ParseError(f"blocks nested deeper than {MAX_BLOCK_DEPTH} levels",
+                                 line_no, col)
             cond = _ExprParser(tokens[1:-1], line_no).parse()
             stmt = new_stmt(value, line_no, expr=cond)
             stack[-1].append(stmt)

@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import augment as aug_mod
 from .context import contribution_select, context_dump, fuse
-from .corpus import Version, load_corpus
+from .corpus import Version, load_version, read_manifest
 from .diffusion import TrainConfig, train
 from .dlfl import MlpFlConfig, train_mlpfl, virtual_suspiciousness
 from .errors import FaultlabError, InvalidConfig, IoError
@@ -205,16 +206,21 @@ def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None,
                  outcome_sink: list | None = None) -> MetricsReport:
     cfg.validate()
     if versions is None:
-        versions = load_corpus(cfg.corpus)
+        # Each version is read and parsed inside its own isolation below.
+        corpus = Path(cfg.corpus)
+        loaders = [(vid, partial(load_version, corpus / vid)) for vid in read_manifest(corpus)]
+    else:
+        loaders = [(v.version_id, lambda v=v: v) for v in versions]
     cells: dict[tuple[str, str], list[VersionResult]] = {}
     errors: list[dict] = []
     context_dumps: dict[str, str] = {}
 
-    for version in versions:
+    for version_id, load in loaders:
         try:
+            version = load()
             outcome = process_version(version, cfg)
         except FaultlabError as exc:
-            errors.append({"version": version.version_id,
+            errors.append({"version": version_id,
                            "error": type(exc).__name__, "message": str(exc)})
             continue
         if outcome_sink is not None:

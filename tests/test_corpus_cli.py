@@ -140,11 +140,49 @@ def test_cli_missing_or_malformed_corpus_exits_2(tmp_path, capsys):
     assert main(args + ["--corpus", str(tmp_path / "missing")]) == 2
     corpus_dir = tmp_path / "corpus"
     main(["corpus", "gen", "--out", str(corpus_dir), "--count", "2", "--seed", "4"])
-    (corpus_dir / "v001_masked_scale" / "tests.json").write_text("[{")
-    assert main(args + ["--corpus", str(corpus_dir)]) == 2
-    (corpus_dir / "manifest.json").write_text("{}")
-    assert main(args + ["--corpus", str(corpus_dir)]) == 2
+    for manifest in ("{}", '{"versions": 3}', '{"versions": "v000"}', "[{"):
+        (corpus_dir / "manifest.json").write_text(manifest)
+        assert main(args + ["--corpus", str(corpus_dir)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def _run_with_broken_version(tmp_path, capsys, path, text):
+    """Run a 3-version corpus after writing `text` to one file of v001."""
+    corpus_dir = tmp_path / "corpus"
+    main(["corpus", "gen", "--out", str(corpus_dir), "--count", "3", "--seed", "4"])
+    (corpus_dir / "v001_masked_scale" / path).write_text(text)
+    out = tmp_path / "r"
+    capsys.readouterr()
+    code = main(["run", "--corpus", str(corpus_dir), "--out", str(out),
+                 "--scenarios", "origin", "--methods", "gp02", "--seed", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads((out / "report.json").read_text())
+    assert [e["version"] for e in payload["errors"]] == ["v001_masked_scale"]
+    assert [row["version"] for row in payload["per_version"]] == [
+        "v000_illustrative", "v002_branch_flip"]
+    return payload["errors"][0], err
+
+
+@pytest.mark.parametrize("path, text, error", [
+    ("faulty.txt", "x = = 3\n", "ParseError"),
+    ("program.txt", "if 1 {\n", "ParseError"),
+    ("tests.json", "[{", "IoError"),
+    ("meta.json", "{}", "IoError"),
+])
+def test_cli_run_isolates_a_version_that_does_not_load(tmp_path, capsys, path, text, error):
+    recorded, err = _run_with_broken_version(tmp_path, capsys, path, text)
+    assert recorded["error"] == error
+    assert f"version v001_masked_scale failed: {error}" in err
+
+
+def test_cli_run_reports_too_deep_blocks_as_a_version_error(tmp_path, capsys):
+    source = "x = 0\n" + "if 1 {\n" * 600 + "x = 7\n" + "}\n" * 600 + "output(x)\n"
+    recorded, _ = _run_with_broken_version(tmp_path, capsys, "faulty.txt", source)
+    assert recorded["error"] == "ParseError"
+    assert "blocks nested deeper than 100 levels (line 102" in recorded["message"]
 
 
 def test_non_integer_input_fails_only_its_version(tmp_path):
@@ -280,8 +318,8 @@ def test_cli_run_reports_too_deep_expression_as_parse_error(tmp_path, capsys):
     code = main(["run", "--corpus", str(corpus_dir), "--out", str(tmp_path / "r"),
                  "--scenarios", "origin", "--methods", "gp02", "--seed", "4"])
     err = capsys.readouterr().err
-    assert code == 2
-    assert "ParseError" in err and "(line 2)" in err
+    assert code == 1
+    assert "version v001_masked_scale failed: ParseError" in err and "(line 2)" in err
     assert "Traceback" not in err
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from faultlab.errors import InvalidInput, InvalidTarget, ParseError
 from faultlab.minilang import (
+    MAX_BLOCK_DEPTH,
     MAX_EXPR_DEPTH,
     Mutation,
     execute,
@@ -219,3 +220,28 @@ def test_expression_at_the_depth_cap_runs():
            "y = " + " + ".join(["x"] * n) + "\n"
            "output(y)\n")
     assert execute(parse(src), {}, {"y": 2 * n}).verdict == "pass"
+
+
+def test_deeply_nested_blocks_are_a_parse_error():
+    src = "x = 0\n" + "if 1 {\n" * 600 + "x = 7\n" + "}\n" * 600 + "output(x)\n"
+    with pytest.raises(ParseError, match=f"deeper than {MAX_BLOCK_DEPTH}") as exc:
+        parse(src)
+    assert exc.value.line == MAX_BLOCK_DEPTH + 2    # the first block past the cap
+
+
+def test_blocks_at_the_depth_cap_run():
+    # if and while blocks alternate, and else arms reopen at the same depth;
+    # the innermost expression is at its own cap too.
+    n, m = MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
+    def nested(depth):
+        lines = ["x = 0", "w = 1"]
+        for d in range(depth):
+            lines.append("while w > 0 {" if d % 2 else "if 0 {\n} else {")
+        lines.append("x = " + "(" * m + "7" + ")" * m)
+        for d in reversed(range(depth)):
+            lines.append("w = 0\n}" if d % 2 else "}")
+        return "\n".join(lines) + "\noutput(x)\n"
+
+    assert execute(parse(nested(n)), {}, {"x": 7}).verdict == "pass"
+    with pytest.raises(ParseError, match=f"deeper than {MAX_BLOCK_DEPTH}"):
+        parse(nested(n + 1))
