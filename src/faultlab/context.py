@@ -113,33 +113,38 @@ def eigen_sym(matrix: np.ndarray,
 
     plan = _sweep_plan(k) if k else []
     h2 = k // 2 * 2                              # rotations per round, times two
-    for _ in range(max_sweeps):
-        if off_norm() < off_tol:
-            break
-        for pq, pqqp, entries in plan:
-            # a[p, q], a[p, p], a[q, q], each twice: for the p- and q-halves of pq.
-            val = flat.take(entries)
-            apq, app, aqq = val[:h2], val[h2:2 * h2], val[2 * h2:]
-            if np.count_nonzero(apq) < h2:       # rotate only pairs with a[p, q] != 0
-                rotated = apq != 0.0
-                if not rotated.any():
-                    continue
-                apq, app, aqq = apq[rotated], app[rotated], aqq[rotated]
-                pq, pqqp = pq[rotated], pqqp[np.concatenate((rotated, rotated))]
-            theta = (aqq - app) / (2.0 * apq)
-            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t[theta == 0.0] = 1.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            half = len(c)
-            cs = np.concatenate((c, -s[:half // 2], s[half // 2:]))   # cc, then ss
-            x = at.take(pqqp, axis=1) * cs       # rows of a ...
-            at[:, pq] = x[:, :half] + x[:, half:]
-            x = st.take(pqqp, axis=0) * cs[:, None]   # ... then columns of a and v
-            st[pq] = x[:half] + x[half:]
-    else:
-        if off_norm() >= off_tol:
-            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
+    # theta * theta overflows when a[p, q] is round-off residue against a
+    # diagonal gap; t is then +-0 either way, so the warning says nothing.
+    # The state is set once per call: entering it costs about 2 us, and a
+    # call makes hundreds of rounds.
+    with np.errstate(over="ignore"):
+        for _ in range(max_sweeps):
+            if off_norm() < off_tol:
+                break
+            for pq, pqqp, entries in plan:
+                # a[p, q], a[p, p], a[q, q], each twice: for the p- and q-halves of pq.
+                val = flat.take(entries)
+                apq, app, aqq = val[:h2], val[h2:2 * h2], val[2 * h2:]
+                if np.count_nonzero(apq) < h2:       # rotate only pairs with a[p, q] != 0
+                    rotated = apq != 0.0
+                    if not rotated.any():
+                        continue
+                    apq, app, aqq = apq[rotated], app[rotated], aqq[rotated]
+                    pq, pqqp = pq[rotated], pqqp[np.concatenate((rotated, rotated))]
+                theta = (aqq - app) / (2.0 * apq)
+                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                t[theta == 0.0] = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                half = len(c)
+                cs = np.concatenate((c, -s[:half // 2], s[half // 2:]))   # cc, then ss
+                x = at.take(pqqp, axis=1) * cs       # rows of a ...
+                at[:, pq] = x[:, :half] + x[:, half:]
+                x = st.take(pqqp, axis=0) * cs[:, None]   # ... then columns of a and v
+                st[pq] = x[:half] + x[half:]
+        else:
+            if off_norm() >= off_tol:
+                raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
 
     # The last off_norm() call wrote the final block back into a.
     v = np.eye(n)

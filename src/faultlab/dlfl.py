@@ -10,7 +10,8 @@ with plain numpy instead of recording an autodiff tape, and writes the
 six gradients straight into the optimizer's flat gradient buffer.  It uses
 the same array operations in the same order as the tape would, so the
 trained weights are bit-identical to tape-driven training, at a fraction
-of the interpreter cost.
+of the interpreter cost.  Scoring runs the `Dense` layers on plain arrays
+and builds no tape either.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingleClassDataset
-from .neural import AdamW, Dense, Tensor
-from .neural.layers import Module
+from .neural import AdamW, Dense
+from .neural.layers import Module, _sigmoid
 from .spectra import CoverageDataset
 
 
@@ -35,28 +36,20 @@ class MlpFlConfig:
 
 
 class MlpFlModel(Module):
-    checkpoint_args = ("width", "hidden")
-
     def __init__(self, rng, width: int, hidden: int = 64):
         self.width = width
-        self.hidden = hidden
         self.fc1 = Dense(rng, width, hidden)
         self.fc2 = Dense(rng, hidden, hidden)
         self.fc3 = Dense(rng, hidden, 1)
 
-    def logits(self, x: Tensor) -> Tensor:
-        h = self.fc1(x).sigmoid()
-        h = self.fc2(h).sigmoid()
-        return self.fc3(h)
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        h, _ = self.fc1(x)
+        h, _ = self.fc2(_sigmoid(h))
+        z, _ = self.fc3(_sigmoid(h))
+        return z
 
     def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        x = Tensor(np.asarray(rows, dtype=np.float64))
-        out = self.logits(x).sigmoid()
-        return out.data.reshape(-1)
-
-    @classmethod
-    def _blank(cls, **args):
-        return cls(np.random.default_rng(0), **args)
+        return _sigmoid(self.logits(np.asarray(rows, dtype=np.float64))).reshape(-1)
 
 
 def _one_plus_exp_neg_(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from .layers import (
     ResidualBlock,
     avg_pool1d,
     sinusoidal_embedding,
-    upsample_nearest,
 )
 from .denoiser import Denoiser, PASS_CLASS, FAIL_CLASS, NULL_CLASS
 from .optim import AdamW
@@ -19,7 +18,7 @@ from .gradcheck import grad_check
 __all__ = [
     "Tensor", "no_grad",
     "Dense", "Conv1d", "GroupNorm", "Attention", "Embedding", "ResidualBlock",
-    "avg_pool1d", "upsample_nearest", "sinusoidal_embedding",
+    "avg_pool1d", "sinusoidal_embedding",
     "Denoiser", "PASS_CLASS", "FAIL_CLASS", "NULL_CLASS",
     "AdamW", "grad_check",
 ]

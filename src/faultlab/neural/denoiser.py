@@ -10,6 +10,12 @@ zero noise everywhere.
 Class conditioning uses a learned embedding added to the sinusoidal step
 embedding; index 2 is the dedicated unconditional ("null") token used by
 classifier-free training and guidance.
+
+The network is written once.  `forward` runs it on plain arrays and
+`backward` replays its layers in reverse from the output gradient.
+`__call__` records that pair as a single tape node, so a training step's
+tape holds the network and the few loss nodes; `predict` is `forward`
+without layer caches and builds no tape.
 """
 
 from __future__ import annotations
@@ -28,11 +34,9 @@ from .layers import (
     _sigmoid,
     _silu_terms,
     avg_pool1d,
-    pool_forward,
     sinusoidal_embedding,
-    upsample_nearest,
 )
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 PASS_CLASS = 0
 FAIL_CLASS = 1
@@ -40,14 +44,20 @@ NULL_CLASS = 2
 NUM_CLASSES = 3
 
 
-class Denoiser(Module):
-    checkpoint_args = ("base", "groups", "emb_dim")
+def _tape_sum(*terms: np.ndarray) -> np.ndarray:
+    """Gradient terms summed in order from a zero array, as `Tensor._accumulate`
+    sums the terms that reach one tensor."""
+    total = np.zeros(terms[0].shape)
+    for term in terms:
+        total += term
+    return total
 
+
+class Denoiser(Module):
     def __init__(self, seed: int = 0, base: int = 32, groups: int = 8, emb_dim: int = 32):
         rng = np.random.default_rng(seed)
         mid = 2 * base
         self.base = base
-        self.groups = groups
         self.emb_dim = emb_dim
 
         self.class_embed = Embedding(rng, NUM_CLASSES, emb_dim)
@@ -60,11 +70,37 @@ class Denoiser(Module):
         self.attn_up = Attention(rng, base, groups)                       # conv 12-13
         self.out_norm = GroupNorm(base, groups)                           # norm 10
         self.out_proj = Dense(rng, base, 1, zero_init=True)
+        # Training replaces `p.data`, never the Tensor `p`.
+        self._params = tuple(self.named_params().values())
 
-    # -- forward -------------------------------------------------------------
+    def __call__(self, x_t, t, c) -> Tensor:
+        """Predict the noise in x_t as one tape node, (B, 1, K).
 
-    def _inputs(self, x_t, t, c):
-        """x_t as (B, 1, K), t as (B,) floats and c as (B,) class indices."""
+        x_t: Tensor or array, (B, K) or (B, 1, K); width K even and >= 4.
+        t: array of timesteps (integer or fractional), shape (B,) or scalar.
+        c: class indices (B,) or scalar; None means the null token.
+        """
+        inputs = (x_t,) if isinstance(x_t, Tensor) else ()
+        caches: list = []
+        out = self.forward(x_t.data if inputs else x_t, t, c, caches)
+
+        def backward(g):
+            need_dx = bool(inputs) and x_t.requires_grad
+            dx = self.backward(g, caches, need_dx)
+            if need_dx:
+                x_t._accumulate(dx.reshape(x_t.shape))
+
+        return Tensor._make(out, inputs + self._params, backward)
+
+    def predict(self, x_t: np.ndarray, t, c) -> np.ndarray:
+        """(B, K) -> (B, K) noise prediction, keeping no layer cache."""
+        out = self.forward(x_t, t, c)
+        return out.reshape(out.shape[0], out.shape[2])
+
+    def forward(self, x_t: np.ndarray, t, c, caches: list | None = None) -> np.ndarray:
+        """(B, 1, K) noise prediction from plain arrays.  When `caches` is a
+        list, each layer's cache is appended to it, for `backward`."""
+        x_t = np.asarray(x_t, dtype=np.float64)
         if x_t.ndim == 2:
             x_t = x_t.reshape(x_t.shape[0], 1, x_t.shape[1])
         batch, _, width = x_t.shape
@@ -75,68 +111,52 @@ class Denoiser(Module):
             c = np.full(batch, NULL_CLASS, dtype=np.intp)
         else:
             c = np.broadcast_to(np.asarray(c, dtype=np.intp).ravel(), (batch,))
-        return x_t, t, c
 
-    def __call__(self, x_t, t, c) -> Tensor:
-        """Predict the noise in x_t, one tape node per layer.
+        def run(layer, *args):
+            out, cache = layer(*args)
+            if caches is not None:
+                caches.append(cache)
+            return out
 
-        x_t: Tensor or array, (B, K) or (B, 1, K); width K even and >= 4.
-        t: array of timesteps (integer or fractional), shape (B,) or scalar.
-        c: class indices (B,) or scalar; None means the null token.
-        """
-        if not isinstance(x_t, Tensor):
-            x_t = Tensor(np.asarray(x_t, dtype=np.float64))
-        x_t, t, c = self._inputs(x_t, t, c)
-        emb = self._embed(t, c)
-
-        h1 = self.stem(x_t)
-        h1 = self.attn_down(self.res_down(h1, emb))
-        h2 = avg_pool1d(h1)
-        h2 = self.attn_mid(self.res_mid(h2, emb))
-        h3 = upsample_nearest(h2)
-        h3 = self.res_up(concat([h1, h3], axis=1), emb)
-        h3 = self.attn_up(h3)
-        return self._head(self.out_norm(h3))
-
-    def predict(self, x_t: np.ndarray, t, c) -> np.ndarray:
-        """(B, K) -> (B, K) noise prediction, from plain arrays only."""
-        x_t, t, c = self._inputs(np.asarray(x_t, dtype=np.float64), t, c)
-        emb = self._embed_forward(t, c)
-
-        h1 = self.stem.forward(x_t)[0]
-        h1 = self.attn_down.forward(self.res_down.forward(h1, emb)[0])[0]
-        h2 = pool_forward(h1)
-        h2 = self.attn_mid.forward(self.res_mid.forward(h2, emb)[0])[0]
-        h3 = np.repeat(h2, 2, axis=2)
-        h3 = self.res_up.forward(np.concatenate([h1, h3], axis=1), emb)[0]
-        h3 = self.attn_up.forward(h3)[0]
-        out = self._head_forward(self.out_norm.forward(h3)[0])[0]
-        return out.reshape(out.shape[0], out.shape[2])
-
-    def _embed_forward(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Step code plus class embedding: (B, emb_dim)."""
-        return sinusoidal_embedding(t, self.emb_dim) + self.class_embed.forward(c)
-
-    def _embed(self, t: np.ndarray, c: np.ndarray) -> Tensor:
-        def backward(g):
-            self.class_embed.backward(g, c)
-
-        return self.class_embed._node(self._embed_forward(t, c), (), backward)
-
-    def _head_forward(self, h: np.ndarray):
-        """silu, then the pointwise output projection: (B, C, K) -> (B, 1, K)."""
+        emb = sinusoidal_embedding(t, self.emb_dim) + run(self.class_embed, c)
+        h1 = run(self.stem, x_t)
+        h1 = run(self.attn_down, run(self.res_down, h1, emb))
+        h2 = run(self.attn_mid, run(self.res_mid, avg_pool1d(h1), emb))
+        h3 = np.repeat(h2, 2, axis=2)                  # nearest upsampling
+        h3 = run(self.res_up, np.concatenate([h1, h3], axis=1), emb)
+        h = run(self.out_norm, run(self.attn_up, h3))
+        # head: silu, then the pointwise output projection
         s = _sigmoid(h)
-        a_t = np.swapaxes(h * s, 1, 2)
-        return np.swapaxes(self.out_proj.forward(a_t), 1, 2), (h, s, a_t)
+        out = np.swapaxes(run(self.out_proj, np.swapaxes(h * s, 1, 2)), 1, 2)
+        if caches is not None:
+            caches.append((h, s))
+        return out
 
-    def _head(self, h: Tensor) -> Tensor:
-        out, (hd, s, a_t) = self._head_forward(h.data)
-
-        def backward(g):
-            # each swapaxes hands on a C-ordered copy, as the tape stored it
-            g_a_t = self.out_proj.backward(np.swapaxes(g, 1, 2).copy(), a_t)
-            if h.requires_grad:
-                for part in _silu_terms(np.swapaxes(g_a_t, 1, 2).copy(), hd, s):
-                    h._accumulate(part)
-
-        return self.out_proj._node(out, (h,), backward)
+    def backward(self, g: np.ndarray, caches: list, need_dx: bool = False):
+        """Replay `forward`'s layers in reverse from the output gradient g,
+        adding every parameter's gradient; returns x_t's gradient, (B, 1, K),
+        when need_dx.  A gradient with several terms is summed from zero in
+        the order the tape of one node per layer summed it: `emb` gets
+        res_up's two terms, then res_mid's, then res_down's; `h1` the
+        concatenation's slice, then the pooling's share."""
+        (emb_c, stem_c, res_down_c, attn_down_c, res_mid_c, attn_mid_c,
+         res_up_c, attn_up_c, out_norm_c, out_proj_c, (h, s)) = caches
+        # each swapaxes hands on a C-ordered copy, as the tape stored it
+        g_a_t = self.out_proj.backward(np.swapaxes(g, 1, 2).copy(), out_proj_c)
+        g_h = _tape_sum(*_silu_terms(np.swapaxes(g_a_t, 1, 2).copy(), h, s))
+        g_h = self.out_norm.backward(g_h, out_norm_c)
+        g_h = _tape_sum(*self.attn_up.backward(g_h, attn_up_c))
+        g_cat, emb_up = self.res_up.backward(g_h, res_up_c)
+        g_cat = _tape_sum(*g_cat)
+        # the upsampling's backward sums each pair of positions
+        batch, channels, width = g_cat.shape
+        g_h2 = g_cat[:, self.base:].reshape(batch, channels - self.base, width // 2, 2)
+        g_h2 = _tape_sum(*self.attn_mid.backward(g_h2.sum(axis=3), attn_mid_c))
+        g_h2, emb_mid = self.res_mid.backward(g_h2, res_mid_c)
+        g_pool = np.repeat(_tape_sum(*g_h2) * (1.0 / 2), 2, axis=2)
+        g_h1 = _tape_sum(g_cat[:, :self.base], g_pool)
+        g_h1 = _tape_sum(*self.attn_down.backward(g_h1, attn_down_c))
+        g_h1, emb_down = self.res_down.backward(g_h1, res_down_c)
+        dx = self.stem.backward(_tape_sum(*g_h1), stem_c, need_dx)
+        self.class_embed.backward(_tape_sum(*emb_up, *emb_mid, *emb_down), emb_c)
+        return dx

@@ -4,10 +4,11 @@ Weights are initialized with uniform fan-in scaling from an explicit
 numpy Generator, so a seed pins the whole network.  Activations live in
 (batch, channels, width) layout.
 
-Each layer has a plain-array `forward`, returning its output and a cache,
-and a `backward` that takes the output gradient and that cache, adds its
-parameters' gradients and returns the gradient of its input.  `__call__`
-wraps the pair into one tape node, and inference calls `forward` alone.
+Each layer has one forward, `__call__`, which takes plain arrays and
+returns its output and a cache, and a `backward` that takes the output
+gradient and that cache, adds its parameters' gradients and returns the
+gradient of its input.  No layer touches the autodiff tape: the denoiser
+records its whole forward/backward pair as one node (see `denoiser`).
 Both passes use the numpy operations, operand layouts and summation order
 of the primitive `Tensor` ops that the layers were once composed of, so
 results are the same bit for bit.  Elementwise steps may be regrouped
@@ -17,9 +18,6 @@ layout, axis and order.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -47,12 +45,7 @@ def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return by_product + by_sigmoid
 
 
-CHECKPOINT_VERSION = 1
-
-
 class Module:
-    checkpoint_args: tuple[str, ...] = ()   # constructor arguments a checkpoint records
-
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for attr, value in vars(self).items():
@@ -62,47 +55,6 @@ class Module:
                 for k, v in value.named_params().items():
                     out[f"{attr}.{k}"] = v
         return out
-
-    def _node(self, out: np.ndarray, inputs: tuple, backward) -> Tensor:
-        """One tape node for the whole layer; its parameters are parents too,
-        so a constant input still records.  The parameter tuple is cached:
-        training replaces `p.data`, never the Tensor `p`."""
-        params = self.__dict__.get("_params")
-        if params is None:
-            params = self._params = tuple(self.named_params().values())
-        return Tensor._make(out, inputs + params, backward)
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write an .npz: a `__meta__` JSON blob of the format version and the
-        constructor arguments, then each parameter array under its name."""
-        meta = {"version": CHECKPOINT_VERSION,
-                **{arg: getattr(self, arg) for arg in self.checkpoint_args}}
-        arrays = {name: p.data for name, p in self.named_params().items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path):
-        """Rebuild a module written by `save`; ValueError for another format
-        version or a parameter of another shape."""
-        with np.load(path) as blob:
-            meta = json.loads(bytes(blob["__meta__"]).decode())
-            if meta["version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta['version']}")
-            model = cls._blank(**{arg: meta[arg] for arg in cls.checkpoint_args})
-            for name, p in model.named_params().items():
-                stored = blob[name]
-                if stored.shape != p.data.shape:
-                    raise ValueError(f"shape mismatch for parameter {name}")
-                p.data = stored.astype(np.float64)
-        return model
-
-    @classmethod
-    def _blank(cls, **args):
-        """A module of the recorded shape, for `load` to fill."""
-        return cls(**args)
 
 
 class Dense(Module):
@@ -118,14 +70,12 @@ class Dense(Module):
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(b, requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w.data + self.b.data
+    def __call__(self, x: np.ndarray):
+        """(x @ w + b, x): the input is the whole cache."""
+        return x @ self.w.data + self.b.data, x
 
     def backward(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Gradient of x for `forward(x)`, whose output gradient is g."""
+        """Gradient of x for `self(x)`, whose output gradient is g."""
         w, b = self.w, self.b
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
@@ -144,17 +94,7 @@ class Conv1d(Module):
         self.w = Tensor(_uniform(rng, (c_out, c_in, kernel), fan_in), requires_grad=True)
         self.b = Tensor(_uniform(rng, (c_out,), fan_in), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out, cache = self.forward(x.data)
-
-        def backward(g):
-            dx = self.backward(g, cache, need_dx=x.requires_grad)
-            if dx is not None:
-                x._accumulate(dx)
-
-        return self._node(out, (x,), backward)
-
-    def forward(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray):
         k = self.kernel
         pad = k // 2
         batch, c_in, width = x.shape
@@ -208,17 +148,7 @@ class GroupNorm(Module):
         self.gamma = Tensor(np.ones((channels, 1)), requires_grad=True)
         self.beta = Tensor(np.zeros((channels, 1)), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out, cache = self.forward(x.data)
-
-        def backward(g):
-            gx = self.backward(g, cache)
-            if x.requires_grad:
-                x._accumulate(gx)
-
-        return self._node(out, (x,), backward)
-
-    def forward(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray):
         batch, channels, width = x.shape
         xg = x.reshape(batch, self.groups, -1)
         inv = 1.0 / xg.shape[2]
@@ -257,27 +187,17 @@ class Attention(Module):
         self.qkv = Conv1d(rng, channels, 3 * channels, kernel=1)
         self.proj = Conv1d(rng, channels, channels, kernel=1)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out, cache = self.forward(x.data)
-
-        def backward(g):
-            for part in self.backward(g, cache):
-                if x.requires_grad:
-                    x._accumulate(part)
-
-        return self._node(out, (x,), backward)
-
-    def forward(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray):
         c = self.channels
-        h, norm_cache = self.norm.forward(x)
-        qkv, qkv_cache = self.qkv.forward(h)
+        h, norm_cache = self.norm(x)
+        qkv, qkv_cache = self.qkv(h)
         q_t = np.swapaxes(qkv[:, :c, :], 1, 2)
         k, v = qkv[:, c:2 * c, :], qkv[:, 2 * c:, :]
         scores = q_t @ k * (1.0 / np.sqrt(c))                  # (B, W, W)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
         attn_t = np.swapaxes(attn, 1, 2)
-        out, proj_cache = self.proj.forward(v @ attn_t)       # (B, C, W)
+        out, proj_cache = self.proj(v @ attn_t)               # (B, C, W)
         return x + out, (norm_cache, qkv_cache, q_t, k, v, attn, attn_t, proj_cache)
 
     def backward(self, g: np.ndarray, cache):
@@ -304,16 +224,10 @@ class Embedding(Module):
         self.table = Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(num, dim)),
                             requires_grad=True)
 
-    def __call__(self, idx: np.ndarray) -> Tensor:
+    def __call__(self, idx: np.ndarray):
+        """(the rows of idx, idx): the indices are the whole cache."""
         idx = np.asarray(idx, dtype=np.intp)
-
-        def backward(g):
-            self.backward(g, idx)
-
-        return self._node(self.forward(idx), (), backward)
-
-    def forward(self, idx: np.ndarray) -> np.ndarray:
-        return self.table.data[idx]
+        return self.table.data[idx], idx
 
     def backward(self, g: np.ndarray, idx: np.ndarray) -> None:
         if self.table.requires_grad:
@@ -338,29 +252,17 @@ class ResidualBlock(Module):
         self.norm2 = GroupNorm(c_out, groups)
         self.conv2 = Conv1d(rng, c_out, c_out)
 
-    def __call__(self, x: Tensor, emb: Tensor) -> Tensor:
-        out, cache = self.forward(x.data, emb.data)
-
-        def backward(g):
-            x_parts, emb_parts = self.backward(g, cache)
-            for t, parts in ((x, x_parts), (emb, emb_parts)):
-                if t.requires_grad:
-                    for part in parts:
-                        t._accumulate(part)
-
-        return self._node(out, (x, emb), backward)
-
-    def forward(self, x: np.ndarray, emb: np.ndarray):
-        n1, n1_cache = self.norm1.forward(x)
+    def __call__(self, x: np.ndarray, emb: np.ndarray):
+        n1, n1_cache = self.norm1(x)
         s1 = _sigmoid(n1)
-        h, c1_cache = self.conv1.forward(n1 * s1)
+        h, c1_cache = self.conv1(n1 * s1)
         es = _sigmoid(emb)
         ea = emb * es
-        shift = self.emb_proj.forward(ea)
+        shift, _ = self.emb_proj(ea)
         h = h + shift.reshape(shift.shape[0], self.c_out, 1)
-        n2, n2_cache = self.norm2.forward(h)
+        n2, n2_cache = self.norm2(h)
         s2 = _sigmoid(n2)
-        h, c2_cache = self.conv2.forward(n2 * s2)
+        h, c2_cache = self.conv2(n2 * s2)
         if self.c_in == self.c_out:
             shortcut = x
         elif self.c_in < self.c_out:
@@ -390,35 +292,14 @@ class ResidualBlock(Module):
         return (g_short, self.norm1.backward(g_n1, n1_cache)), emb_terms
 
 
-def avg_pool1d(x: Tensor, factor: int = 2) -> Tensor:
-    out = pool_forward(x.data, factor)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.repeat(g * (1.0 / factor), factor, axis=2))
-
-    return Tensor._make(out, (x,), backward)
-
-
-def pool_forward(x: np.ndarray, factor: int = 2) -> np.ndarray:
-    """`avg_pool1d` on a plain array."""
+def avg_pool1d(x: np.ndarray, factor: int = 2) -> np.ndarray:
+    """Mean of each run of `factor` positions along the width."""
     if x.shape[2] % factor != 0:
         raise ShapeMismatch(f"width {x.shape[2]} not divisible by {factor}")
     out = x[:, :, 0::factor]
     for i in range(1, factor):
         out = out + x[:, :, i::factor]
     return out * (1.0 / factor)
-
-
-def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
-    out_data = np.repeat(x.data, factor, axis=2)
-
-    def backward(g):
-        if x.requires_grad:
-            b, c, w = g.shape
-            x._accumulate(g.reshape(b, c, w // factor, factor).sum(axis=3))
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
@@ -430,9 +311,7 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
 
 
-
 __all__ = [
     "Module", "Dense", "Conv1d", "GroupNorm", "Attention", "Embedding",
-    "ResidualBlock", "avg_pool1d", "pool_forward", "upsample_nearest",
-    "sinusoidal_embedding",
+    "ResidualBlock", "avg_pool1d", "sinusoidal_embedding",
 ]

@@ -1,10 +1,10 @@
 """Reverse-mode autodiff over numpy arrays, float64 throughout.
 
 Gradients flow through a recorded tape; `no_grad()` disables recording.
-The primitive ops here cover the diffusion loss and the dense layers;
-each denoiser layer records itself as a single node (see `layers`).
-Broadcasting in elementwise ops is undone in the backward pass by
-summing over the broadcast axes.
+The primitive ops here cover the diffusion loss only: the whole denoiser
+records itself as a single node (see `denoiser`), and its layers work on
+plain arrays.  Broadcasting in elementwise ops is undone in the backward
+pass by summing over the broadcast axes.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -133,8 +129,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __neg__(self):
         def backward(g):
             if self.requires_grad:
@@ -155,17 +149,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(g * self.data, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
 
     # -- reductions & shape ------------------------------------------------
 
@@ -197,37 +180,3 @@ class Tensor:
                 self._accumulate(g.reshape(src_shape))
 
         return Tensor._make(out_data, (self,), backward)
-
-    # -- linear algebra ----------------------------------------------------
-
-    def matmul(self, other: "Tensor"):
-        other = self._lift(other)
-        out_data = self.data @ other.data
-
-        def backward(g):
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(_unbroadcast(gb, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    __matmul__ = matmul
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def backward(g):
-        start = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, start + size)
-                t._accumulate(g[tuple(index)])
-            start += size
-
-    return Tensor._make(out_data, tuple(tensors), backward)

@@ -9,7 +9,6 @@ those columns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +30,6 @@ class SliceCriterion:
 class FaultSemanticContext:
     stm_sc: list[int]            # sorted, duplicate-free statement indices
     context_matrix: np.ndarray   # M x K' slice of the coverage matrix
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "stm_sc": self.stm_sc,
-            "matrix": self.context_matrix.astype(int).tolist(),
-        })
 
 
 def default_criterion(record: ExecutionRecord) -> SliceCriterion:

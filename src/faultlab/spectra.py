@@ -8,9 +8,7 @@ by no test at all) score 0 so that rankings stay total.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -151,45 +149,3 @@ def rank(scores: np.ndarray) -> RankedList:
     for pos, j in enumerate(order0, start=1):
         ranks[j] = pos
     return RankedList(order=[j + 1 for j in order0], scores=scores.copy(), ranks=ranks)
-
-
-# ---------------------------------------------------------------------------
-# CSV round-trip: test_id, S1..SN, result [, provenance]
-
-def save_dataset_csv(path: str | Path, dataset: CoverageDataset, provenance: bool = False) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["test_id", *dataset.stmt_ids, "result"]
-        if provenance:
-            header.append("provenance")
-        w.writerow(header)
-        for i in range(dataset.num_tests):
-            row = [dataset.test_ids[i], *dataset.matrix[i].tolist(), int(dataset.errors[i])]
-            if provenance:
-                row.append(dataset.provenance[i])
-            w.writerow(row)
-
-
-def load_dataset_csv(path: str | Path) -> CoverageDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_prov = header[-1] == "provenance"
-        stmt_ids = header[1:-2] if has_prov else header[1:-1]
-        test_ids, rows, errors, prov = [], [], [], []
-        for rec in reader:
-            test_ids.append(rec[0])
-            if has_prov:
-                rows.append([int(x) for x in rec[1:-2]])
-                errors.append(int(rec[-2]))
-                prov.append(rec[-1])
-            else:
-                rows.append([int(x) for x in rec[1:-1]])
-                errors.append(int(rec[-1]))
-    return CoverageDataset(
-        matrix=np.array(rows, dtype=np.int8),
-        errors=np.array(errors, dtype=np.int8),
-        stmt_ids=list(stmt_ids),
-        provenance=prov,
-        test_ids=test_ids,
-    )

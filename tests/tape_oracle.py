@@ -1,13 +1,17 @@
 """The denoiser as a composition of primitive tape ops: the bit-exactness oracle.
 
-Before each layer became one tape node, the layers were built from the
-primitive `Tensor` ops below, one node per op.  The library's layer nodes
-and its array-only inference path must reproduce these compositions bit
-for bit, forward and backward, so they are kept here verbatim.  The
-primitives that no layer uses any more (`pow`, `swapaxes`, indexing,
-`softmax`, `silu`, channel padding, and `softplus` for the MLP's loss)
-live here as functions; convolution, dense layers and upsampling were
-single nodes already and come from the library.
+Before the network became one tape node, its layers were built from the
+primitive `Tensor` ops below, one node per op.  The library's forward and
+backward must reproduce these compositions bit for bit, so they are kept
+here verbatim.  The primitives that the library no longer uses (`pow`,
+`sigmoid`, `matmul`, `swapaxes`, indexing, `softmax`, `silu`, channel
+padding, concatenation, and `softplus` for the MLP's loss) live here as
+functions, next to the convolution and upsampling nodes, which were
+single nodes already.
+
+`node` is the other direction: it records a library layer's forward and
+`backward` as one tape node, so that tape-level checks (finite
+differences, gradient comparisons) can reach a single layer.
 """
 
 from __future__ import annotations
@@ -15,12 +19,67 @@ from __future__ import annotations
 import numpy as np
 
 from faultlab.neural import Tensor
-from faultlab.neural.layers import sinusoidal_embedding, upsample_nearest
-from faultlab.neural.tensor import concat
 from faultlab.neural.denoiser import NULL_CLASS
+from faultlab.neural.layers import sinusoidal_embedding
+from faultlab.neural.tensor import _unbroadcast
+
+
+def node(layer, *inputs) -> Tensor:
+    """`layer(...)` plus `layer.backward` as one tape node, the layer's
+    parameters among its parents.  Inputs that are not Tensors (class
+    indices) pass through; a layer hands back its input gradient as one
+    array or as terms in the tape's order, one entry per Tensor input."""
+    out, cache = layer(*(x.data if isinstance(x, Tensor) else x for x in inputs))
+    tensors = tuple(x for x in inputs if isinstance(x, Tensor))
+
+    def backward(g):
+        grads = layer.backward(g, cache)
+        for x, terms in zip(tensors, grads if len(tensors) > 1 else (grads,)):
+            if x.requires_grad:
+                for term in (terms,) if isinstance(terms, np.ndarray) else terms:
+                    x._accumulate(term)
+
+    return Tensor._make(out, tensors + tuple(layer.named_params().values()), backward)
 
 
 # -- primitives --------------------------------------------------------------
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_data = 1.0 / (1.0 + np.exp(-x.data))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * out_data * (1.0 - out_data))
+
+    return Tensor._make(out_data, (x,), backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return Tensor._make(out_data, (a, b), backward)
+
+
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
+
+    def backward(g):
+        start = 0
+        for t, size in zip(tensors, sizes):
+            if t.requires_grad:
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(start, start + size)
+                t._accumulate(g[tuple(index)])
+            start += size
+
+    return Tensor._make(out_data, tuple(tensors), backward)
 
 def pow_(x: Tensor, p: float) -> Tensor:
     out_data = x.data ** p
@@ -44,7 +103,7 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    return x * x.sigmoid()
+    return x * sigmoid(x)
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
@@ -103,6 +162,45 @@ def pad_channels(x: Tensor, new_channels: int) -> Tensor:
 
 # -- layers ------------------------------------------------------------------
 
+def dense(layer, x: Tensor) -> Tensor:
+    return matmul(x, layer.w) + layer.b
+
+
+def conv1d(conv, x: Tensor) -> Tensor:
+    w, b, k = conv.w, conv.b, conv.kernel
+    pad = k // 2
+    xd = x.data
+    batch, c_in, width = xd.shape
+    c_out = w.shape[0]
+    # im2col: contiguous (B*W, C*k) patches so the product hits BLAS.
+    # Tap j reads position w + j - pad; taps past either edge stay zero.
+    patches = np.zeros((batch, width, c_in, k))
+    xt = xd.transpose(0, 2, 1)
+    for j in range(k):
+        lo, hi = max(0, pad - j), min(width, width + pad - j)
+        if lo < hi:
+            patches[:, lo:hi, :, j] = xt[:, lo + j - pad:hi + j - pad]
+    patches = patches.reshape(batch * width, c_in * k)
+    w2 = w.data.reshape(c_out, c_in * k)
+    out_data = (patches @ w2.T).reshape(batch, width, c_out)
+    out_data = out_data.transpose(0, 2, 1) + b.data[None, :, None]
+
+    def backward(g):
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * width, c_out)
+        if w.requires_grad:
+            w._accumulate((g2.T @ patches).reshape(c_out, c_in, k))
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            dwin = (g2 @ w2).reshape(batch, width, c_in, k).transpose(0, 2, 1, 3)
+            dx_pad = np.zeros((batch, c_in, width + 2 * pad))
+            for j in range(k):
+                dx_pad[:, :, j:j + width] += dwin[:, :, :, j]
+            x._accumulate(dx_pad[:, :, pad:pad + width])
+
+    return Tensor._make(out_data, (x, w, b), backward)
+
+
 def groupnorm(gn, x: Tensor) -> Tensor:
     batch, channels, width = x.shape
     xg = x.reshape(batch, gn.groups, -1)
@@ -116,14 +214,14 @@ def groupnorm(gn, x: Tensor) -> Tensor:
 def attention(attn, x: Tensor) -> Tensor:
     c = attn.channels
     h = groupnorm(attn.norm, x)
-    qkv = attn.qkv(h)
+    qkv = conv1d(attn.qkv, h)
     q = getitem(qkv, (slice(None), slice(None, c), slice(None)))
     k = getitem(qkv, (slice(None), slice(c, 2 * c), slice(None)))
     v = getitem(qkv, (slice(None), slice(2 * c, None), slice(None)))
-    scores = swapaxes(q, 1, 2) @ k * (1.0 / np.sqrt(c))   # (B, W, W)
+    scores = matmul(swapaxes(q, 1, 2), k) * (1.0 / np.sqrt(c))   # (B, W, W)
     a = softmax(scores)
-    out = v @ swapaxes(a, 1, 2)                          # (B, C, W)
-    return x + attn.proj(out)
+    out = matmul(v, swapaxes(a, 1, 2))                           # (B, C, W)
+    return x + conv1d(attn.proj, out)
 
 
 def embedding(emb, idx) -> Tensor:
@@ -131,10 +229,10 @@ def embedding(emb, idx) -> Tensor:
 
 
 def resblock(block, x: Tensor, emb: Tensor) -> Tensor:
-    h = block.conv1(silu(groupnorm(block.norm1, x)))
-    shift = block.emb_proj(silu(emb))
+    h = conv1d(block.conv1, silu(groupnorm(block.norm1, x)))
+    shift = dense(block.emb_proj, silu(emb))
     h = h + shift.reshape(shift.shape[0], block.c_out, 1)
-    h = block.conv2(silu(groupnorm(block.norm2, h)))
+    h = conv1d(block.conv2, silu(groupnorm(block.norm2, h)))
     if block.c_in == block.c_out:
         shortcut = x
     elif block.c_in < block.c_out:
@@ -153,10 +251,21 @@ def avg_pool1d(x: Tensor, factor: int = 2) -> Tensor:
     return out * (1.0 / factor)
 
 
+def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
+    out_data = np.repeat(x.data, factor, axis=2)
+
+    def backward(g):
+        if x.requires_grad:
+            b, c, w = g.shape
+            x._accumulate(g.reshape(b, c, w // factor, factor).sum(axis=3))
+
+    return Tensor._make(out_data, (x,), backward)
+
+
 def denoiser(model, x_t, t, c) -> Tensor:
     if not isinstance(x_t, Tensor):
         x_t = Tensor(np.asarray(x_t, dtype=np.float64))
-    if x_t.ndim == 2:
+    if x_t.data.ndim == 2:
         x_t = x_t.reshape(x_t.shape[0], 1, x_t.shape[1])
     batch = x_t.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64).ravel(), (batch,))
@@ -167,15 +276,22 @@ def denoiser(model, x_t, t, c) -> Tensor:
 
     emb = Tensor(sinusoidal_embedding(t, model.emb_dim)) + embedding(model.class_embed, c)
 
-    h1 = model.stem(x_t)
+    h1 = conv1d(model.stem, x_t)
     h1 = attention(model.attn_down, resblock(model.res_down, h1, emb))
     h2 = avg_pool1d(h1)
     h2 = attention(model.attn_mid, resblock(model.res_mid, h2, emb))
     h3 = upsample_nearest(h2)
     h3 = resblock(model.res_up, concat([h1, h3], axis=1), emb)
     h3 = attention(model.attn_up, h3)
-    out = model.out_proj(swapaxes(silu(groupnorm(model.out_norm, h3)), 1, 2))
+    out = dense(model.out_proj, swapaxes(silu(groupnorm(model.out_norm, h3)), 1, 2))
     return swapaxes(out, 1, 2)
+
+
+def mlp_logits(model, x: Tensor) -> Tensor:
+    """`MlpFlModel.logits` on the tape."""
+    h = sigmoid(dense(model.fc1, x))
+    h = sigmoid(dense(model.fc2, h))
+    return dense(model.fc3, h)
 
 
 class TapeDenoiser:

@@ -40,6 +40,7 @@ from faultlab.slicing import SliceCriterion, default_criterion, dynamic_slice, f
 from faultlab.spectra import SpectrumTally, build_spectra, rank, score, tally
 from conftest import GOLDEN_TRAIN_CONFIG, REFERENCE_PCA_ORDER
 from randprog import gen_random_program, oracle_output_slices
+from tape_oracle import node
 
 
 def _verdict(tag: str, ok: bool, detail: str = ""):
@@ -159,34 +160,35 @@ def test_criterion_2_diffusion_math():
 # Criterion 3: gradients
 
 def test_criterion_3_gradient_suite():
+    # A single layer reaches the tape through `tape_oracle.node`.
     start = time.time()
     rng = np.random.default_rng(0)
     worst = 0.0
 
     dense = Dense(rng, 5, 3)
     x = Tensor(rng.normal(size=(4, 5)))
-    worst = max(worst, grad_check(lambda: (dense(x) * dense(x)).sum(),
+    worst = max(worst, grad_check(lambda: (node(dense, x) * node(dense, x)).sum(),
                                   dense.named_params()))
 
     conv = Conv1d(rng, 3, 4, kernel=3)
     xc = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
-    worst = max(worst, grad_check(lambda: (conv(xc) * conv(xc)).sum(),
+    worst = max(worst, grad_check(lambda: (node(conv, xc) * node(conv, xc)).sum(),
                                   dict(conv.named_params(), x=xc)))
 
     gn = GroupNorm(4, groups=2)
     xg = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
-    worst = max(worst, grad_check(lambda: (gn(xg) * gn(xg)).sum(),
+    worst = max(worst, grad_check(lambda: (node(gn, xg) * node(gn, xg)).sum(),
                                   dict(gn.named_params(), x=xg)))
 
     attn = Attention(rng, 4, groups=2)
     xa = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
-    worst = max(worst, grad_check(lambda: (attn(xa) * attn(xa)).sum(),
+    worst = max(worst, grad_check(lambda: (node(attn, xa) * node(attn, xa)).sum(),
                                   dict(attn.named_params(), x=xa),
                                   limit_per_param=12, rng=np.random.default_rng(1)))
 
     emb = Embedding(rng, 3, 4)
     idx = np.array([0, 2, 1, 2])
-    worst = max(worst, grad_check(lambda: (emb(idx) * emb(idx)).sum(),
+    worst = max(worst, grad_check(lambda: (node(emb, idx) * node(emb, idx)).sum(),
                                   emb.named_params()))
 
     for c_in, c_out in ((4, 4), (2, 4), (6, 4)):
@@ -194,7 +196,7 @@ def test_criterion_3_gradient_suite():
         xb = Tensor(rng.normal(size=(2, c_in, 4)), requires_grad=True)
         eb = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         worst = max(worst, grad_check(
-            lambda: (block(xb, eb) * block(xb, eb)).sum(),
+            lambda: (node(block, xb, eb) * node(block, xb, eb)).sum(),
             dict(block.named_params(), x=xb, emb=eb),
             limit_per_param=10, rng=np.random.default_rng(2)))
 

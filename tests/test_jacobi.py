@@ -1,5 +1,7 @@
 """The live-block Jacobi solver against the full-matrix oracle, bit for bit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,18 @@ def test_non_convergence_matches_the_oracle():
     early = [solver(a, max_sweeps=3, off_tol=1.0)
              for solver in (eigen_sym, jacobi_oracle.eigen_sym)]
     assert all(_same_bits(x, y) for x, y in zip(*early))
+
+
+def test_round_off_residue_rotates_without_overflow_warning():
+    # A randprog suite of 9 tests and 53 statements with 40 live rows: in 8
+    # rotations a[p, q] is round-off residue and theta * theta overflows.
+    x = COVERAGES[11]
+    a = _covariance(x)
+    assert x.shape == (9, 53) and _live_count(a) == 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = eigen_sym(a)
+    with np.errstate(over="ignore"):
+        want_vals, want_vecs = jacobi_oracle.eigen_sym(a)
+    assert _same_bits(vals, want_vals)
+    assert _same_bits(vecs, want_vecs)

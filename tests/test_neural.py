@@ -1,9 +1,6 @@
-import json
-
 import numpy as np
 import pytest
 
-from faultlab.dlfl import MlpFlModel
 from faultlab.errors import NonFiniteGradient, ShapeMismatch
 from faultlab.neural import (
     AdamW,
@@ -18,10 +15,10 @@ from faultlab.neural import (
     avg_pool1d,
     grad_check,
     sinusoidal_embedding,
-    upsample_nearest,
 )
 from faultlab.neural.layers import Module
-from tape_oracle import getitem, softmax
+import tape_oracle as oracle
+from tape_oracle import getitem, node, softmax
 
 
 def _check(module_params, loss_fn, tol=1e-4, **kw):
@@ -33,7 +30,7 @@ def test_dense_gradients():
     rng = np.random.default_rng(0)
     layer = Dense(rng, 5, 3)
     x = Tensor(rng.normal(size=(4, 5)))
-    _check(layer.named_params(), lambda: (layer(x) * layer(x)).sum())
+    _check(layer.named_params(), lambda: (node(layer, x) * node(layer, x)).sum())
 
 
 def test_conv1d_gradients():
@@ -42,21 +39,21 @@ def test_conv1d_gradients():
         conv = Conv1d(rng, 3, 4, kernel=kernel)
         x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         params = dict(conv.named_params(), x=x)
-        _check(params, lambda: (conv(x) * conv(x)).sum())
+        _check(params, lambda: (node(conv, x) * node(conv, x)).sum())
 
 
 def test_groupnorm_gradients_and_identity():
     rng = np.random.default_rng(2)
     gn = GroupNorm(4, groups=2)
     x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
-    _check(dict(gn.named_params(), x=x), lambda: (gn(x) * gn(x)).sum())
+    _check(dict(gn.named_params(), x=x), lambda: (node(gn, x) * node(gn, x)).sum())
     # unit scale, zero bias on already-normalized input reproduces the input
     z = rng.normal(size=(2, 4, 50))
     z = z.reshape(2, 2, -1)
     z = (z - z.mean(axis=2, keepdims=True)) / np.sqrt(z.var(axis=2, keepdims=True) + 1e-5)
     z = z.reshape(2, 4, 50)
-    out = gn(Tensor(z))
-    assert np.allclose(out.data, z, atol=1e-4)
+    out, _ = gn(z)
+    assert np.allclose(out, z, atol=1e-4)
 
 
 def test_attention_gradients_and_softmax_rows():
@@ -64,7 +61,7 @@ def test_attention_gradients_and_softmax_rows():
     attn = Attention(rng, 4, groups=2)
     x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
     _check(dict(attn.named_params(), x=x),
-           lambda: (attn(x) * attn(x)).sum(), limit_per_param=12,
+           lambda: (node(attn, x) * node(attn, x)).sum(), limit_per_param=12,
            rng=np.random.default_rng(0))
     probs = softmax(Tensor(rng.normal(size=(3, 5, 5))))
     assert np.allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
@@ -77,7 +74,7 @@ def test_residual_block_gradients_all_channel_cases():
         x = Tensor(rng.normal(size=(2, c_in, 4)), requires_grad=True)
         emb = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         params = dict(block.named_params(), x=x, emb=emb)
-        _check(params, lambda: (block(x, emb) * block(x, emb)).sum(),
+        _check(params, lambda: (node(block, x, emb) * node(block, x, emb)).sum(),
                limit_per_param=10, rng=np.random.default_rng(1))
 
 
@@ -85,19 +82,23 @@ def test_embedding_gradients():
     rng = np.random.default_rng(5)
     emb = Embedding(rng, 3, 4)
     idx = np.array([0, 2, 2, 1])
-    _check(emb.named_params(), lambda: (emb(idx) * emb(idx)).sum())
+    _check(emb.named_params(), lambda: (node(emb, idx) * node(emb, idx)).sum())
 
 
 def test_pool_upsample_shape_law():
+    # The tape's pooling and upsampling pass the finite-difference check, and
+    # the library's array pooling equals the tape's; their backward inside
+    # `Denoiser.backward` is held to the tape by tests/test_layer_nodes.py.
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
-    down = avg_pool1d(x)
+    down = oracle.avg_pool1d(x)
     assert down.shape == (2, 3, 4)
-    up = upsample_nearest(down)
+    assert np.array_equal(avg_pool1d(x.data), down.data)
+    up = oracle.upsample_nearest(down)
     assert up.shape == x.shape
-    _check({"x": x}, lambda: (upsample_nearest(avg_pool1d(x)) * x).sum())
+    _check({"x": x}, lambda: (oracle.upsample_nearest(oracle.avg_pool1d(x)) * x).sum())
     with pytest.raises(ShapeMismatch):
-        avg_pool1d(Tensor(np.zeros((1, 2, 5))))
+        avg_pool1d(np.zeros((1, 2, 5)))
 
 
 def test_sinusoidal_embedding_accepts_fractional_steps():
@@ -211,66 +212,6 @@ def test_adamw_rejects_nan_gradient():
         opt.step()
 
 
-# Each checkpointed model with its constructor arguments as the file's meta records them.
-CHECKPOINT_MODELS = {
-    "denoiser": (lambda: Denoiser(seed=4, base=4, groups=2, emb_dim=8),
-                 {"base": 4, "groups": 2, "emb_dim": 8}),
-    "mlpfl": (lambda: MlpFlModel(np.random.default_rng(4), 6, hidden=5),
-              {"width": 6, "hidden": 5}),
-}
-
-
-def _perturbed(kind):
-    model = CHECKPOINT_MODELS[kind][0]()
-    rng = np.random.default_rng(1)
-    for p in model.named_params().values():
-        p.data = p.data + rng.normal(size=p.data.shape)
-    return model
-
-
-def _write_layout(path, meta, arrays):
-    """The .npz layout by hand: a __meta__ JSON blob, then the named arrays."""
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
-
-
-@pytest.mark.parametrize("kind", CHECKPOINT_MODELS)
-def test_checkpoint_roundtrip_bit_exact(tmp_path, kind):
-    model = _perturbed(kind)
-    path = tmp_path / "ckpt.npz"
-    model.save(path)
-    back = type(model).load(path)
-    for k, p in model.named_params().items():
-        assert np.array_equal(p.data, back.named_params()[k].data)
-
-
-@pytest.mark.parametrize("kind", CHECKPOINT_MODELS)
-def test_checkpoint_layout_loads_bit_exact(tmp_path, kind):
-    model = _perturbed(kind)
-    arrays = {name: p.data for name, p in model.named_params().items()}
-    path = tmp_path / "layout.npz"
-    _write_layout(path, {"version": 1, **CHECKPOINT_MODELS[kind][1]}, arrays)
-    back = type(model).load(path)
-    assert back.named_params().keys() == arrays.keys()
-    for k, p in back.named_params().items():
-        assert np.array_equal(p.data, arrays[k])
-
-
-@pytest.mark.parametrize("kind", CHECKPOINT_MODELS)
-def test_checkpoint_rejects_wrong_version_or_shape(tmp_path, kind):
-    model = _perturbed(kind)
-    arrays = {name: p.data for name, p in model.named_params().items()}
-    meta = CHECKPOINT_MODELS[kind][1]
-    _write_layout(tmp_path / "v2.npz", {"version": 2, **meta}, arrays)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-        type(model).load(tmp_path / "v2.npz")
-    first = next(iter(arrays))
-    arrays[first] = arrays[first][..., :-1]
-    _write_layout(tmp_path / "shape.npz", {"version": 1, **meta}, arrays)
-    with pytest.raises(ValueError, match=f"shape mismatch for parameter {first}"):
-        type(model).load(tmp_path / "shape.npz")
-
-
 class _ReferenceAdamW:
     """The per-parameter AdamW loop that the flat-buffer optimizer replaced."""
 
@@ -337,23 +278,6 @@ def test_adamw_without_parameters_steps():
     assert opt.step_count == 1
 
 
-def test_checkpoint_roundtrip_after_training(tmp_path):
-    from faultlab.diffusion import TrainConfig, make_schedule, train_step
-
-    model = Denoiser(seed=4, base=4, groups=2, emb_dim=8)
-    opt = AdamW(model.named_params(), lr=1e-2)
-    rng = np.random.default_rng(3)
-    sched = make_schedule(50, 1e-4, 0.02)
-    for _ in range(3):
-        train_step(model, opt, np.sign(rng.normal(size=(4, 8))), np.array([0, 1, 0, 1]),
-                   TrainConfig(), sched, rng)
-    path = tmp_path / "trained.npz"
-    model.save(path)
-    back = Denoiser.load(path)
-    for k, p in model.named_params().items():
-        assert np.array_equal(p.data, back.named_params()[k].data)
-
-
 @pytest.mark.parametrize("key", [
     (slice(None), slice(1, 3), slice(None, None, 2)),   # basic slices
     np.array([2, 0, 2, 2, 1]),                           # repeated rows
@@ -382,4 +306,4 @@ def test_conv1d_matches_padded_window_im2col():
             patches = patches.reshape(shape[0] * shape[2], shape[1] * kernel)
             expected = (patches @ conv.w.data.reshape(3, -1).T).reshape(shape[0], shape[2], 3)
             expected = expected.transpose(0, 2, 1) + conv.b.data[None, :, None]
-            assert np.array_equal(conv(Tensor(x)).data, expected), (kernel, shape)
+            assert np.array_equal(conv(x)[0], expected), (kernel, shape)

@@ -100,7 +100,5 @@ def test_fault_statement_lands_in_context(golden_version, golden_semantic):
 
 
 def test_context_export_json(golden_semantic):
-    import json
-    payload = json.loads(golden_semantic.to_json())
-    assert payload["stm_sc"] == [1, 3, 7, 8, 14, 15]
-    assert len(payload["matrix"]) == 6
+    assert golden_semantic.stm_sc == [1, 3, 7, 8, 14, 15]
+    assert len(golden_semantic.context_matrix) == 6

@@ -8,9 +8,7 @@ from faultlab.spectra import (
     CoverageDataset,
     SpectrumTally,
     build_spectra,
-    load_dataset_csv,
     rank,
-    save_dataset_csv,
     score,
     tally,
 )
@@ -133,15 +131,3 @@ def test_rank_of_tie_modes():
     rl = rank(np.array([0.9, 0.9, 0.1]))
     assert rl.rank_of(2, tie="ordinal") == 2
     assert rl.rank_of(2, tie="best") == 1
-
-
-def test_csv_roundtrip(tmp_path, golden_dataset):
-    path = tmp_path / "ds.csv"
-    save_dataset_csv(path, golden_dataset, provenance=True)
-    back = load_dataset_csv(path)
-    assert np.array_equal(back.matrix, golden_dataset.matrix)
-    assert np.array_equal(back.errors, golden_dataset.errors)
-    assert back.stmt_ids == golden_dataset.stmt_ids
-    assert back.provenance == golden_dataset.provenance
-    head = path.read_text().splitlines()[0]
-    assert head.startswith("test_id,S1,") and head.endswith("result,provenance")
