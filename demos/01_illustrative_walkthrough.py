@@ -46,17 +46,17 @@ for r in failing:
     sl = dynamic_slice(r, crit)
     print(f"\n{r.test_id}: wrong output at S_{crit.output_stm} "
           f"({set(crit.output_vars)}), slice = {sorted(sl)}")
-semantic = fault_context([(r, default_criterion(r)) for r in failing], dataset)
+semantic = fault_context([(r, default_criterion(r)) for r in failing])
 print(f"fault semantic context: {semantic.stm_sc}")
 
 # Statistical context and fusion.
 statistical = contribution_select(dataset.matrix)
 print(f"statistical ordering: {statistical.stm_pca} (m={statistical.m})")
-fused = fuse(dataset.matrix, semantic.stm_sc, statistical.stm_pca, alpha=1.0)
+fused = fuse(semantic.stm_sc, statistical.stm_pca, alpha=1.0)
 print(f"fused context: {fused.stm_fusion} (width {fused.target_dim})")
 
 # Train the conditional generator on the fused columns and rebalance.
-cfg = TrainConfig(epochs=2000, patience=50, seed=7)
+cfg = TrainConfig(epochs=2000, patience=50)
 rows = dataset.matrix[:, [s - 1 for s in fused.stm_fusion]]
 bundle = train(rows, dataset.errors, cfg, rng=np.random.default_rng(7))
 print(f"\ntrained for {len(bundle.losses)} epochs, "

@@ -24,7 +24,6 @@ SCENARIOS = ("origin", "pcd", "undersample", "resample")
 
 @dataclass
 class AugmentedDataset:
-    base: CoverageDataset
     dataset: CoverageDataset     # the dataset to evaluate FL on
     scenario: str
     synthetic_rows: np.ndarray   # (k, N) rows added (empty for origin/undersample)
@@ -91,7 +90,6 @@ def generate_until_balanced(
     prov = ["synthetic"] * len(rows)
     ids = [f"g{i + 1}" for i in range(len(rows))]
     return AugmentedDataset(
-        base=dataset,
         dataset=_with_rows(dataset, rows, errors, prov, ids),
         scenario="pcd",
         synthetic_rows=rows,
@@ -117,7 +115,6 @@ def undersample(dataset: CoverageDataset, rng: np.random.Generator) -> Augmented
         test_ids=[dataset.test_ids[i] for i in sel],
     )
     return AugmentedDataset(
-        base=dataset,
         dataset=reduced,
         scenario="undersample",
         synthetic_rows=np.zeros((0, dataset.num_statements), dtype=np.int8),
@@ -139,7 +136,6 @@ def resample(dataset: CoverageDataset, rng: np.random.Generator) -> AugmentedDat
     prov = ["synthetic"] * len(rows)
     ids = [f"r{i + 1}" for i in range(len(rows))]
     return AugmentedDataset(
-        base=dataset,
         dataset=_with_rows(dataset, rows, errors, prov, ids),
         scenario="resample",
         synthetic_rows=rows,

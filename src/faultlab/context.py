@@ -8,6 +8,9 @@ Two cooperating selections feed the generative model:
 * a fused context: the semantic slice set filtered and ordered by the
   statistical ranking, truncated to the model's width.
 
+Both are lists of 1-based statement indices; the pipeline projects the
+coverage matrix onto the fused list.
+
 The symmetric eigensolver is a round-robin (parallel-ordered) Jacobi
 iteration over the rows with non-zero off-diagonal entries.  It rotates
 only that live block, kept transposed so that the column update gathers
@@ -41,7 +44,6 @@ JACOBI_MAX_SWEEPS = 100
 @dataclass
 class StatisticalContext:
     stm_pca: list[int]           # statement indices, descending contribution
-    x_pca: np.ndarray            # M x K'' selected columns of X
     contributions: np.ndarray    # (N,) contribution value per statement
     m: int                       # number of leading eigenvectors used
 
@@ -49,7 +51,6 @@ class StatisticalContext:
 @dataclass
 class FusedContext:
     stm_fusion: list[int]        # sorted ascending
-    x_fusion: np.ndarray         # M x K
     alpha: float
     k_f: int                     # fusion size alpha * |StmSC|
     target_dim: int              # K
@@ -217,10 +218,8 @@ def contribution_select(
     # Structural ties are exact; quantize away solver round-off from others.
     snapped = np.round(contributions, 9)
     order = sorted(range(n), key=lambda i: (-snapped[i], i))
-    stm_pca = [i + 1 for i in order[:k2]]
     return StatisticalContext(
-        stm_pca=stm_pca,
-        x_pca=x[:, [s - 1 for s in stm_pca]].copy(),
+        stm_pca=[i + 1 for i in order[:k2]],
         contributions=contributions,
         m=m,
     )
@@ -249,13 +248,12 @@ def default_target_dim(stm_sc, stm_pca, k_f) -> int:
 
 
 def fuse(
-    x: np.ndarray,
     stm_sc,
     stm_pca,
     alpha: float = 1.0,
     target_dim: int | None = None,
 ) -> FusedContext:
-    """Fuse semantic and statistical contexts into the model's input columns.
+    """Fuse semantic and statistical contexts into the model's input statements.
 
     The fusion starts from StmSC ∩ StmPCA[:K^f] (K^f = round(alpha |StmSC|))
     and then walks StmPCA in order, admitting statements that are also in
@@ -293,11 +291,8 @@ def fuse(
         fusion = fusion[:shrunk]
         target_dim = shrunk
 
-    fusion_sorted = sorted(fusion)
-    x = np.asarray(x)
     return FusedContext(
-        stm_fusion=fusion_sorted,
-        x_fusion=x[:, [s - 1 for s in fusion_sorted]].copy(),
+        stm_fusion=sorted(fusion),
         alpha=alpha,
         k_f=k_f,
         target_dim=target_dim,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, TemplateError
+from .errors import InvalidRange, IoError, TemplateError
 from .minilang import (
     Mutation,
     Program,
@@ -434,6 +434,9 @@ def make_version(version_id: str, instance: TemplateInstance,
 def generate_corpus(count: int, seed: int,
                     include_golden: bool = True) -> list[Version]:
     """Build `count` seeded-fault versions in memory (golden first)."""
+    for name, value in (("count", count), ("seed", seed)):
+        if value < 0:
+            raise InvalidRange(f"{name} must be >= 0, got {value}")
     versions: list[Version] = []
     if include_golden and count > 0:
         versions.append(make_version("v000_illustrative", golden_template(), None))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBatch, InvalidOrder, InvalidRange, TimestepOutOfRange
-from .neural import AdamW, Denoiser, FAIL_CLASS, NULL_CLASS, Tensor, no_grad
+from .neural import AdamW, Denoiser, FAIL_CLASS, NULL_CLASS, Tensor
 
 
 @dataclass
@@ -99,15 +99,10 @@ class TrainConfig:
     alpha: float = 1.0           # fusion ratio, passed to context.fuse
     gamma: float = 2.0           # guidance scale
     p_uncond: float = 0.1
-    batch_size: int | None = None
     epochs: int = 400
     patience: int = 50
-    seed: int = 0
     sample_steps: int = 25
     sample_order: int = 2
-    weight_decay: float = 0.01
-    base_channels: int = 32
-    groups: int = 8
     reject_empty: bool = False
     eval_space: str = "full"
     fail_cap: int | None = None  # max failing tests used for slicing
@@ -159,18 +154,17 @@ def train_step(model: Denoiser, opt: AdamW, batch_x: np.ndarray,
 
 
 def train(rows01: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
-          rng: np.random.Generator | None = None) -> DiffusionBundle:
-    """Train a denoiser on bit rows with pass/fail labels."""
+          rng: np.random.Generator) -> DiffusionBundle:
+    """Train a denoiser on bit rows with pass/fail labels, one full-batch
+    step per epoch."""
     rows01 = np.asarray(rows01)
     if rows01.size == 0:
         raise EmptyBatch("no rows to train on")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     width = rows01.shape[1]
     sched = make_schedule(cfg.steps, cfg.beta1, cfg.betaT)
     init_seed = int(rng.integers(0, 2**31 - 1))
-    model = Denoiser(seed=init_seed, base=cfg.base_channels, groups=cfg.groups)
-    opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    model = Denoiser(seed=init_seed)
+    opt = AdamW(model.named_params(), lr=cfg.lr)
     x = encode_bits(rows01)
     labels = np.asarray(labels, dtype=np.intp)
 
@@ -179,17 +173,7 @@ def train(rows01: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     stale = 0
     window = 100
     for epoch in range(cfg.epochs):
-        if cfg.batch_size is None or cfg.batch_size >= len(x):
-            loss = train_step(model, opt, x, labels, cfg, sched, rng)
-        else:
-            order = rng.permutation(len(x))
-            chunk_losses = []
-            for start in range(0, len(x), cfg.batch_size):
-                sel = order[start:start + cfg.batch_size]
-                chunk_losses.append(
-                    train_step(model, opt, x[sel], labels[sel], cfg, sched, rng))
-            loss = float(np.mean(chunk_losses))
-        losses.append(loss)
+        losses.append(train_step(model, opt, x, labels, cfg, sched, rng))
         # Per-step losses are noisy (random t and noise draws), so the
         # plateau check tracks a trailing moving average.
         if epoch >= window:
@@ -211,16 +195,15 @@ def guided_eps(model: Denoiser, x_t: np.ndarray, t, c, gamma: float) -> np.ndarr
     n = x_t.shape[0]
     t = np.broadcast_to(np.asarray(t, dtype=np.float64).ravel(), (n,))
     c = np.broadcast_to(np.asarray(c, dtype=np.intp).ravel(), (n,))
-    with no_grad():
-        if gamma == 0.0:
-            return model.predict(x_t, t, c)
-        # conditional and unconditional branches share one batched forward
-        both = model.predict(
-            np.concatenate([x_t, x_t]),
-            np.concatenate([t, t]),
-            np.concatenate([c, np.full(n, NULL_CLASS, dtype=np.intp)]),
-        )
-        eps_c, eps_u = both[:n], both[n:]
+    if gamma == 0.0:
+        return model.predict(x_t, t, c)
+    # conditional and unconditional branches share one batched forward
+    both = model.predict(
+        np.concatenate([x_t, x_t]),
+        np.concatenate([t, t]),
+        np.concatenate([c, np.full(n, NULL_CLASS, dtype=np.intp)]),
+    )
+    eps_c, eps_u = both[:n], both[n:]
     return (1.0 + gamma) * eps_c - gamma * eps_u
 
 
@@ -244,14 +227,6 @@ def ancestral_sample(bundle: DiffusionBundle, n_samples: int,
         if t > 1 and sigma > 0.0:
             x = x + sigma * rng.standard_normal(x.shape)
     return x
-
-
-def posterior_mean(x_t: np.ndarray, eps_hat: np.ndarray, t: int,
-                   sched: NoiseSchedule) -> np.ndarray:
-    """Reverse-step mean (x_t - beta_t/sqrt(1-abar_t) eps)/sqrt(alpha_t)."""
-    beta = sched.beta[t - 1]
-    abar = sched.alpha_bar[t - 1]
-    return (x_t - beta / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(sched.alpha[t - 1])
 
 
 def dpm_timesteps(sched: NoiseSchedule, steps: int) -> list[int]:

@@ -1,6 +1,6 @@
 """Minimal differentiable building blocks for the 1-D denoiser."""
 
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 from .layers import (
     Attention,
     Conv1d,
@@ -13,12 +13,11 @@ from .layers import (
 )
 from .denoiser import Denoiser, PASS_CLASS, FAIL_CLASS, NULL_CLASS
 from .optim import AdamW
-from .gradcheck import grad_check
 
 __all__ = [
-    "Tensor", "no_grad",
+    "Tensor",
     "Dense", "Conv1d", "GroupNorm", "Attention", "Embedding", "ResidualBlock",
     "avg_pool1d", "sinusoidal_embedding",
     "Denoiser", "PASS_CLASS", "FAIL_CLASS", "NULL_CLASS",
-    "AdamW", "grad_check",
+    "AdamW",
 ]

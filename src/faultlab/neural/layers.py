@@ -77,10 +77,8 @@ class Dense(Module):
     def backward(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Gradient of x for `self(x)`, whose output gradient is g."""
         w, b = self.w, self.b
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-        if w.requires_grad:
-            w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape))
+        b._accumulate(_unbroadcast(g, b.shape))
+        w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape))
         return g @ np.swapaxes(w.data, -1, -2)
 
 
@@ -120,10 +118,8 @@ class Conv1d(Module):
         pad = k // 2
         c_out = w2.shape[0]
         g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * width, c_out)
-        if w.requires_grad:
-            w._accumulate((g2.T @ patches).reshape(c_out, c_in, k))
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2)))
+        w._accumulate((g2.T @ patches).reshape(c_out, c_in, k))
+        b._accumulate(g.sum(axis=(0, 2)))
         if not need_dx:
             return None
         dwin = (g2 @ w2).reshape(batch, width, c_in, k)
@@ -164,10 +160,8 @@ class GroupNorm(Module):
     def backward(self, g: np.ndarray, cache) -> np.ndarray:
         centered, var_eps, scale, normed, gamma_row, inv = cache
         gamma, beta = self.gamma, self.beta
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.shape))
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * normed.reshape(g.shape), gamma.shape))
+        beta._accumulate(_unbroadcast(g, beta.shape))
+        gamma._accumulate(_unbroadcast(g * normed.reshape(g.shape), gamma.shape))
         g_normed = (g.reshape(normed.shape) * gamma_row).reshape(centered.shape)
         g_scale = _unbroadcast(g_normed * centered, scale.shape)
         g_sumsq = g_scale * -0.5 * var_eps ** -1.5 * inv
@@ -230,10 +224,9 @@ class Embedding(Module):
         return self.table.data[idx], idx
 
     def backward(self, g: np.ndarray, idx: np.ndarray) -> None:
-        if self.table.requires_grad:
-            full = np.zeros(self.table.shape)
-            np.add.at(full, idx, g)      # a row may repeat
-            self.table._accumulate(full)
+        full = np.zeros(self.table.shape)
+        np.add.at(full, idx, g)      # a row may repeat
+        self.table._accumulate(full)
 
 
 class ResidualBlock(Module):

@@ -1,30 +1,16 @@
 """Reverse-mode autodiff over numpy arrays, float64 throughout.
 
-Gradients flow through a recorded tape; `no_grad()` disables recording.
-The primitive ops here cover the diffusion loss only: the whole denoiser
-records itself as a single node (see `denoiser`), and its layers work on
-plain arrays.  Broadcasting in elementwise ops is undone in the backward
-pass by summing over the broadcast axes.
+Gradients flow through a recorded tape: an op records a node when one of
+its operands requires a gradient.  The primitive ops here cover the
+diffusion loss only: the whole denoiser records itself as a single node
+(see `denoiser`), and its layers work on plain arrays.  Broadcasting in
+elementwise ops is undone in the backward pass by summing over the
+broadcast axes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-_GRAD_ENABLED = True
-
-
-@contextmanager
-def no_grad():
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -53,9 +39,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
     @staticmethod
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -77,13 +60,12 @@ class Tensor:
         out.requires_grad = False
         out._backward = None
         out._parents = ()
-        if _GRAD_ENABLED:
-            for p in parents:
-                if p.requires_grad:
-                    out.requires_grad = True
-                    out._parents = parents
-                    out._backward = backward
-                    break
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
         return out
 
     def backward(self, grad=None) -> None:

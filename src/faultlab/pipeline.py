@@ -25,9 +25,9 @@ from .errors import FaultlabError, InvalidConfig, IoError
 from .metrics import MetricsReport, VersionResult, render_table, rimp_csv, summarize
 from .minilang import execute
 from .slicing import default_criterion, fault_context
-from .spectra import CoverageDataset, build_spectra, rank, score, tally
+from .spectra import FORMULAS, CoverageDataset, build_spectra, rank, score, tally
 
-SPECTRUM_METHODS = ("dstar", "ochiai", "barinel", "gp02")
+SPECTRUM_METHODS = FORMULAS
 ALL_METHODS = SPECTRUM_METHODS + ("mlpfl",)
 
 
@@ -49,6 +49,7 @@ class RunConfig:
         problems += [f"unknown method {m!r}" for m in self.methods if m not in ALL_METHODS]
         for ok, what in (
             (self.scenarios, "scenario set must be non-empty"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.tie in ("ordinal", "best"), "tie must be 'ordinal' or 'best'"),
             (t.eval_space in ("full", "context"), "eval_space must be 'full' or 'context'"),
             (t.op == "adamw", f"op must be 'adamw', got {t.op!r}"),
@@ -123,8 +124,6 @@ class VersionOutcome:
     version_id: str
     rankings: dict[tuple[str, str], "object"] = field(default_factory=dict)
     context_json: str | None = None
-    balance: dict[str, tuple[int, int]] = field(default_factory=dict)
-    synthetic_rows: np.ndarray | None = None
     stm_fusion: list[int] | None = None
 
 
@@ -163,10 +162,9 @@ def process_version(version: Version, cfg: RunConfig) -> VersionOutcome:
     needs_context = "pcd" in cfg.scenarios or cfg.train.eval_space == "context"
     if needs_context:
         semantic = fault_context(
-            [(r, default_criterion(r)) for r in failing[:cfg.train.fail_cap]], dataset)
+            [(r, default_criterion(r)) for r in failing[:cfg.train.fail_cap]])
         statistical = contribution_select(dataset.matrix)
-        fused = fuse(dataset.matrix, semantic.stm_sc, statistical.stm_pca,
-                     alpha=cfg.train.alpha)
+        fused = fuse(semantic.stm_sc, statistical.stm_pca, alpha=cfg.train.alpha)
         fused_cols = [s - 1 for s in fused.stm_fusion]
         outcome.context_json = context_dump(semantic, statistical, fused)
         outcome.stm_fusion = list(fused.stm_fusion)
@@ -182,7 +180,6 @@ def process_version(version: Version, cfg: RunConfig) -> VersionOutcome:
                 bundle, dataset, fused, cfg.train,
                 _substream(cfg.seed, version.version_id, "sampling"))
             scen_ds = augmented.dataset
-            outcome.synthetic_rows = augmented.synthetic_rows
         elif scenario == "undersample":
             scen_ds = aug_mod.undersample(
                 dataset, _substream(cfg.seed, version.version_id, "undersample")).dataset
@@ -191,8 +188,6 @@ def process_version(version: Version, cfg: RunConfig) -> VersionOutcome:
                 dataset, _substream(cfg.seed, version.version_id, "resample")).dataset
         else:
             raise ValueError(scenario)
-        outcome.balance[scenario] = (
-            int(scen_ds.errors.sum()), int(len(scen_ds.errors) - scen_ds.errors.sum()))
         for method in cfg.methods:
             ranked = _score_dataset(
                 scen_ds, method, cfg,
@@ -202,8 +197,7 @@ def process_version(version: Version, cfg: RunConfig) -> VersionOutcome:
     return outcome
 
 
-def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None,
-                 outcome_sink: list | None = None) -> MetricsReport:
+def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None) -> MetricsReport:
     cfg.validate()
     if versions is None:
         # Each version is read and parsed inside its own isolation below.
@@ -223,8 +217,6 @@ def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None,
             errors.append({"version": version_id,
                            "error": type(exc).__name__, "message": str(exc)})
             continue
-        if outcome_sink is not None:
-            outcome_sink.append(outcome)
         if outcome.context_json:
             context_dumps[version.version_id] = outcome.context_json
         faults = version.faulty_statements

@@ -2,20 +2,16 @@
 
 A slice is the set of statements whose executed occurrences reach a chosen
 output occurrence through the transitive closure of dynamic data and
-control dependence edges.  The fault semantic context unites the slices of
-several failing tests, deduplicated, and restricts the coverage matrix to
-those columns.
+control dependence edges.  The fault semantic context is the sorted union
+of the slices of several failing tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CriterionNotExecuted, NoFailingTests
 from .minilang import ExecutionRecord
-from .spectra import CoverageDataset
 
 
 @dataclass(frozen=True)
@@ -29,7 +25,6 @@ class SliceCriterion:
 @dataclass
 class FaultSemanticContext:
     stm_sc: list[int]            # sorted, duplicate-free statement indices
-    context_matrix: np.ndarray   # M x K' slice of the coverage matrix
 
 
 def default_criterion(record: ExecutionRecord) -> SliceCriterion:
@@ -91,17 +86,11 @@ def dynamic_slice(record: ExecutionRecord, criterion: SliceCriterion) -> set[int
 
 def fault_context(
     failing: list[tuple[ExecutionRecord, SliceCriterion]],
-    dataset: CoverageDataset,
 ) -> FaultSemanticContext:
-    """Union of per-test slices, projected onto the full coverage matrix."""
+    """Union of the per-test slices."""
     if not failing:
         raise NoFailingTests("fault context needs at least one failing record")
     union: set[int] = set()
     for record, criterion in failing:
         union |= dynamic_slice(record, criterion)
-    stm_sc = sorted(union)
-    cols = [s - 1 for s in stm_sc]
-    return FaultSemanticContext(
-        stm_sc=stm_sc,
-        context_matrix=dataset.matrix[:, cols].copy(),
-    )
+    return FaultSemanticContext(stm_sc=sorted(union))

@@ -14,7 +14,7 @@ from faultlab.spectra import build_spectra
 # fixture input for the documented fusion walkthrough.
 REFERENCE_PCA_ORDER = [14, 15, 10, 11, 6, 1, 2, 3, 13, 4, 5, 16, 8, 7, 9, 12]
 
-GOLDEN_TRAIN_CONFIG = TrainConfig(lr=3e-4, epochs=2000, patience=50, seed=7)
+GOLDEN_TRAIN_CONFIG = TrainConfig(lr=3e-4, epochs=2000, patience=50)
 
 
 @pytest.fixture(scope="session")
@@ -36,15 +36,14 @@ def golden_dataset(golden_records):
 
 
 @pytest.fixture(scope="session")
-def golden_semantic(golden_records, golden_dataset):
+def golden_semantic(golden_records):
     failing = [r for r in golden_records if r.failing]
-    return fault_context([(r, default_criterion(r)) for r in failing], golden_dataset)
+    return fault_context([(r, default_criterion(r)) for r in failing])
 
 
 @pytest.fixture(scope="session")
-def golden_fused(golden_dataset, golden_semantic):
-    return fuse(golden_dataset.matrix, golden_semantic.stm_sc,
-                REFERENCE_PCA_ORDER, alpha=1.0)
+def golden_fused(golden_semantic):
+    return fuse(golden_semantic.stm_sc, REFERENCE_PCA_ORDER, alpha=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from faultlab.neural import Tensor
 
 
 def grad_check(loss_fn, params: dict[str, Tensor], step: float = 1e-5,

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from faultlab import augment
 from faultlab.augment import binarize, generate_until_balanced
 from faultlab.context import contribution_select, eigen_sym, fuse
 from faultlab.corpus import generate_corpus
@@ -33,12 +34,12 @@ from faultlab.neural import (
     GroupNorm,
     ResidualBlock,
     Tensor,
-    grad_check,
 )
 from faultlab.pipeline import RunConfig, run_pipeline
 from faultlab.slicing import SliceCriterion, default_criterion, dynamic_slice, fault_context
 from faultlab.spectra import SpectrumTally, build_spectra, rank, score, tally
 from conftest import GOLDEN_TRAIN_CONFIG, REFERENCE_PCA_ORDER
+from gradcheck import grad_check
 from randprog import gen_random_program, oracle_output_slices
 from tape_oracle import node
 
@@ -219,7 +220,7 @@ def test_criterion_3_gradient_suite():
 # ---------------------------------------------------------------------------
 # Criterion 4: revised-PCA and fusion algorithms
 
-def test_criterion_4_selection_algorithms(golden_dataset, golden_semantic):
+def test_criterion_4_selection_algorithms(golden_semantic):
     # characteristic-polynomial oracles
     vals, _ = eigen_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(vals, [3.0, 1.0], atol=1e-8)
@@ -251,8 +252,7 @@ def test_criterion_4_selection_algorithms(golden_dataset, golden_semantic):
         accepted += 1
 
     # fusion walkthrough, exact set equality
-    fused = fuse(golden_dataset.matrix, golden_semantic.stm_sc,
-                 REFERENCE_PCA_ORDER, alpha=1.0, target_dim=4)
+    fused = fuse(golden_semantic.stm_sc, REFERENCE_PCA_ORDER, alpha=1.0, target_dim=4)
     assert fused.stm_fusion == [1, 3, 14, 15]
     _verdict("criterion-4 selection algorithms", True)
 
@@ -327,30 +327,41 @@ def e2e_run():
         scenarios=("origin", "pcd", "undersample", "resample"),
         methods=("dstar", "ochiai", "barinel", "gp02"),
         seed=7,
-        train=TrainConfig(lr=3e-4, epochs=2000, patience=50, seed=7),
+        train=TrainConfig(lr=3e-4, epochs=2000, patience=50),
     )
-    outcomes = []
-    start = time.time()
-    report = run_pipeline(cfg, versions=versions, outcome_sink=outcomes)
-    elapsed = time.time() - start
-    return versions, report, outcomes, elapsed
+    # Each rebalanced set the run builds, with the arguments it was built from.
+    balanced = {"pcd": [], "undersample": [], "resample": []}
+
+    def capture(scenario, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            balanced[scenario].append((out, args))
+            return out
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for scenario, name in (("pcd", "generate_until_balanced"),
+                               ("undersample", "undersample"), ("resample", "resample")):
+            mp.setattr(augment, name, capture(scenario, getattr(augment, name)))
+        start = time.time()
+        report = run_pipeline(cfg, versions=versions)
+        elapsed = time.time() - start
+    return versions, report, balanced, elapsed
 
 
 def test_criterion_8_balance_invariants(e2e_run):
-    versions, report, outcomes, _ = e2e_run
+    versions, report, balanced, _ = e2e_run
     assert not report.errors
-    assert len(outcomes) == len(versions)
-    for outcome in outcomes:
-        for scenario in ("pcd", "undersample", "resample"):
-            fails, passes = outcome.balance[scenario]
-            assert fails == passes, (outcome.version_id, scenario)
-        outside = [j for j in range(len(outcome.synthetic_rows[0]))
-                   if (j + 1) not in outcome.stm_fusion] \
-            if len(outcome.synthetic_rows) else []
-        if len(outcome.synthetic_rows):
-            assert np.all(outcome.synthetic_rows[:, outside] == 0)
+    for scenario, built in balanced.items():
+        assert len(built) == len(versions), scenario
+        for out, _ in built:
+            assert out.dataset.num_failing == out.dataset.num_passing, scenario
+    for out, (_, _, fused, *_) in balanced["pcd"]:
+        outside = [j for j in range(out.synthetic_rows.shape[1])
+                   if (j + 1) not in fused.stm_fusion]
+        assert np.all(out.synthetic_rows[:, outside] == 0)
     _verdict("criterion-8 balance invariants", True,
-             f"{len(outcomes)} versions balanced, synthetic rows confined")
+             f"{len(versions)} versions balanced, synthetic rows confined")
 
 
 def test_criterion_9_directional_claim(e2e_run):

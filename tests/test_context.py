@@ -191,27 +191,17 @@ def test_contribution_select_requires_samples():
         contribution_select(np.ones((1, 3)))
 
 
-def test_x_pca_projects_selected_columns():
-    rng = np.random.default_rng(1)
-    x = rng.integers(0, 2, size=(6, 5)).astype(float)
-    ctx = contribution_select(x, m=1, k2=3)
-    assert ctx.x_pca.shape == (6, 3)
-    for k, s in enumerate(ctx.stm_pca):
-        assert np.array_equal(ctx.x_pca[:, k], x[:, s - 1])
-
-
 # -- fusion --------------------------------------------------------------------
 
 def test_fuse_reference_example():
     sc = [1, 3, 7, 8, 14, 15]
-    fused = fuse(np.zeros((6, 16)), sc, REFERENCE_PCA_ORDER, alpha=1.0, target_dim=4)
+    fused = fuse(sc, REFERENCE_PCA_ORDER, alpha=1.0, target_dim=4)
     assert fused.stm_fusion == [1, 3, 14, 15]
     assert fused.k_f == 6
 
 
-def test_fuse_default_width_matches_reference(golden_dataset, golden_semantic):
-    fused = fuse(golden_dataset.matrix, golden_semantic.stm_sc,
-                 REFERENCE_PCA_ORDER, alpha=1.0)
+def test_fuse_default_width_matches_reference(golden_semantic):
+    fused = fuse(golden_semantic.stm_sc, REFERENCE_PCA_ORDER, alpha=1.0)
     assert fused.stm_fusion == [1, 3, 14, 15]
     assert fused.target_dim == 4
 
@@ -219,14 +209,14 @@ def test_fuse_default_width_matches_reference(golden_dataset, golden_semantic):
 def test_fuse_whole_set_when_prefix_covers():
     sc = [2, 4, 6, 8]
     pca = [2, 4, 6, 8, 1, 3]
-    fused = fuse(np.zeros((3, 8)), sc, pca, alpha=1.0, target_dim=4)
+    fused = fuse(sc, pca, alpha=1.0, target_dim=4)
     assert fused.stm_fusion == [2, 4, 6, 8]
 
 
 def test_fuse_alpha_zero_scans_from_start():
     sc = [2, 5, 7, 9]
     pca = [1, 7, 3, 2, 5, 9]
-    fused = fuse(np.zeros((3, 9)), sc, pca, alpha=0.0, target_dim=4)
+    fused = fuse(sc, pca, alpha=0.0, target_dim=4)
     # scan order admits 7, 2, 5, 9
     assert fused.k_f == 0
     assert fused.stm_fusion == [2, 5, 7, 9]
@@ -234,7 +224,7 @@ def test_fuse_alpha_zero_scans_from_start():
 
 def test_fuse_insufficient_context():
     with pytest.raises(InsufficientContext):
-        fuse(np.zeros((3, 9)), [1, 2, 3], [1, 2, 3, 4, 5], alpha=1.0)
+        fuse([1, 2, 3], [1, 2, 3, 4, 5], alpha=1.0)
 
 
 def test_fuse_subset_of_semantic_context():
@@ -243,14 +233,8 @@ def test_fuse_subset_of_semantic_context():
         n = int(rng.integers(6, 16))
         sc = sorted(rng.choice(range(1, n + 1), size=rng.integers(4, n), replace=False).tolist())
         pca = rng.permutation(range(1, n + 1)).tolist()
-        fused = fuse(np.zeros((3, n)), sc, pca, alpha=float(rng.random()))
+        fused = fuse(sc, pca, alpha=float(rng.random()))
         assert set(fused.stm_fusion) <= set(sc)
         assert fused.target_dim % 2 == 0
         assert len(fused.stm_fusion) == fused.target_dim
         assert fused.stm_fusion == sorted(fused.stm_fusion)
-
-
-def test_fuse_projection_consistency(golden_dataset, golden_fused):
-    for k, s in enumerate(golden_fused.stm_fusion):
-        assert np.array_equal(golden_fused.x_fusion[:, k],
-                              golden_dataset.matrix[:, s - 1])

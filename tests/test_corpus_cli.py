@@ -78,7 +78,7 @@ def test_unsatisfiable_template_raises():
 def test_pipeline_reports_are_reproducible(tmp_path):
     versions = generate_corpus(3, seed=9)
     cfg = RunConfig(scenarios=("origin", "resample"), methods=("gp02", "dstar"),
-                    seed=9, train=TrainConfig(epochs=50, seed=9))
+                    seed=9, train=TrainConfig(epochs=50))
     r1 = run_pipeline(cfg, versions=versions)
     r2 = run_pipeline(cfg, versions=versions)
     emit_report(r1, tmp_path / "r1")
@@ -92,7 +92,7 @@ def test_pipeline_isolates_version_failures(tmp_path):
     broken = versions[1]
     broken.faulty = broken.program
     cfg = RunConfig(scenarios=("origin", "pcd"), methods=("gp02",), seed=9,
-                    train=TrainConfig(epochs=30, seed=9))
+                    train=TrainConfig(epochs=30))
     report = run_pipeline(cfg, versions=versions)
     assert len(report.errors) == 1
     assert report.errors[0]["version"] == broken.version_id
@@ -261,6 +261,7 @@ def test_version_dir_loads_back(tmp_path):
     (["--fail-cap", "-1"], "fail_cap must be >= 1"),
     (["--fail-cap", "0"], "fail_cap must be >= 1"),
     (["--op", "sgd"], "op must be 'adamw', got 'sgd'"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, message):
     # the corpus does not exist: validation has to fire before it is read
@@ -271,6 +272,17 @@ def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, messag
     assert len(lines) == 1 and lines[0].startswith("error: InvalidConfig: ")
     assert message in lines[0]
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--count", "-1"], "count must be >= 0, got -1"),
+])
+def test_cli_corpus_gen_rejects_negative_settings(tmp_path, capsys, flags, message):
+    out = tmp_path / "corpus"
+    assert main(["corpus", "gen", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"error: InvalidRange: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, message", [

