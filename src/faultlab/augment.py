@@ -25,7 +25,6 @@ SCENARIOS = ("origin", "pcd", "undersample", "resample")
 @dataclass
 class AugmentedDataset:
     dataset: CoverageDataset     # the dataset to evaluate FL on
-    scenario: str
     synthetic_rows: np.ndarray   # (k, N) rows added (empty for origin/undersample)
 
 
@@ -91,7 +90,6 @@ def generate_until_balanced(
     ids = [f"g{i + 1}" for i in range(len(rows))]
     return AugmentedDataset(
         dataset=_with_rows(dataset, rows, errors, prov, ids),
-        scenario="pcd",
         synthetic_rows=rows,
     )
 
@@ -116,7 +114,6 @@ def undersample(dataset: CoverageDataset, rng: np.random.Generator) -> Augmented
     )
     return AugmentedDataset(
         dataset=reduced,
-        scenario="undersample",
         synthetic_rows=np.zeros((0, dataset.num_statements), dtype=np.int8),
     )
 
@@ -137,6 +134,5 @@ def resample(dataset: CoverageDataset, rng: np.random.Generator) -> AugmentedDat
     ids = [f"r{i + 1}" for i in range(len(rows))]
     return AugmentedDataset(
         dataset=_with_rows(dataset, rows, errors, prov, ids),
-        scenario="resample",
         synthetic_rows=rows,
     )

@@ -373,13 +373,16 @@ TEMPLATES = [_masked_scale, _branch_flip, _loop_pay, _chain, _dual_gate, _offset
 # ---------------------------------------------------------------------------
 # Suite construction and corpus generation
 
-def build_suite(instance: TemplateInstance, rng: np.random.Generator,
-                n_fail: int, n_pass: int, attempts: int = 600) -> list[TestCase]:
-    """Draw an imbalanced suite: n_fail failing + n_pass passing tests."""
+def build_suite(instance: TemplateInstance, correct: Program, faulty: Program,
+                rng: np.random.Generator, n_fail: int, n_pass: int,
+                attempts: int = 600) -> list[TestCase]:
+    """Draw an imbalanced suite: n_fail failing + n_pass passing tests.
+
+    `correct` is the instance's parsed source and `faulty` that program
+    with the instance's mutation seeded.
+    """
     if instance.fixed_suite is not None:
         return list(instance.fixed_suite)
-    correct = parse(instance.source)
-    faulty = seed_fault(correct, instance.mutation)
     fails: list[TestCase] = []
     passes: list[TestCase] = []
     seen: set[tuple] = set()
@@ -420,7 +423,7 @@ def make_version(version_id: str, instance: TemplateInstance,
     if instance.fixed_suite is None:
         n_fail = n_fail if n_fail is not None else int(rng.integers(2, 4))
         n_pass = n_pass if n_pass is not None else int(rng.integers(6, 10))
-    suite = build_suite(instance, rng, n_fail or 0, n_pass or 0)
+    suite = build_suite(instance, program, faulty, rng, n_fail or 0, n_pass or 0)
     return Version(
         version_id=version_id,
         template=instance.name,

@@ -26,17 +26,19 @@ from .neural.layers import Module, _sigmoid
 from .spectra import CoverageDataset
 
 
+HIDDEN = 64                     # width of both hidden layers
+LR = 3e-3                       # AdamW learning rate
+
+
 @dataclass
 class MlpFlConfig:
-    hidden: int = 64
-    lr: float = 3e-3
     steps: int = 2000
     weight_decay: float = 0.0
     seed: int = 0
 
 
 class MlpFlModel(Module):
-    def __init__(self, rng, width: int, hidden: int = 64):
+    def __init__(self, rng, width: int, hidden: int = HIDDEN):
         self.width = width
         self.fc1 = Dense(rng, width, hidden)
         self.fc2 = Dense(rng, hidden, hidden)
@@ -72,8 +74,8 @@ def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> Mlp
     if y.min() == y.max():
         raise SingleClassDataset("training data holds a single class")
     rng = np.random.default_rng(cfg.seed)
-    model = MlpFlModel(rng, dataset.num_statements, cfg.hidden)
-    opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    model = MlpFlModel(rng, dataset.num_statements)
+    opt = AdamW(model.named_params(), lr=LR, weight_decay=cfg.weight_decay)
     x = dataset.matrix.astype(np.float64)
     y = y.reshape(-1, 1)
     # d(mean)/d(row loss), as the tape's backward of `.mean()` produces it

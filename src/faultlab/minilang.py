@@ -17,11 +17,14 @@ runtime fault (overflow).  Statements (assignment, if-header, while-header,
 output) are numbered 1..N in source order; closing braces and ``else``
 lines are not statements.
 
-execute() interprets a program against an input binding and an oracle,
-recording a full occurrence-level trace with dynamic data and control
-dependence edges.  Runtime faults (division by zero, undefined variable,
-overflow, loop-cap overrun) mark the test failing; they never raise out
-of the harness.  A test input that is not an integer (a float, a string,
+parse() compiles each program once, into one closure per statement and
+per operator; execute() runs those closures against an input binding and
+an oracle, recording a full occurrence-level trace with dynamic data and
+control dependence edges.  The tree-walking interpreter they replaced is
+kept in tests/minilang_oracle.py as the reference they must match bit for
+bit.  Runtime faults (division by zero, undefined variable, overflow,
+loop-cap overrun) mark the test failing; they never raise out of the
+harness.  A test input that is not an integer (a float, a string,
 a bool) raises InvalidInput.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,11 +43,11 @@ from .errors import InvalidInput, InvalidTarget, ParseError
 
 VALUE_LIMIT = 2**63             # an assigned value must stay below this in magnitude
 # The deepest expression tree, and the deepest nesting of '(' and unary '-',
-# that parse accepts: evaluation and the parser recurse once per level, so a
-# deeper expression is a ParseError rather than a RecursionError.
+# that parse accepts: the parser, the compiler and evaluation recurse once per
+# level, so a deeper expression is a ParseError rather than a RecursionError.
 MAX_EXPR_DEPTH = 100
-# The deepest nesting of if/while blocks that parse accepts: execution
-# recurses once per block, so a deeper program is a ParseError as well.
+# The deepest nesting of if/while blocks that parse accepts: compilation and
+# execution recurse once per block, so a deeper program is a ParseError as well.
 MAX_BLOCK_DEPTH = 100
 
 # ---------------------------------------------------------------------------
@@ -62,29 +66,21 @@ BINARY_OPS = {"+", "-", "*", "/", "%"} | COMPARISONS
 def tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int]]:
     """Return (kind, value, col) triples for one source line."""
     tokens = []
-    pos = 0
-    stripped = text.split("#", 1)[0]
-    while pos < len(stripped):
-        m = _TOKEN_RE.match(stripped, pos)
-        if m is None or m.end() == pos:
-            break
-        if m.group("bad"):
-            raise ParseError(f"unexpected character {m.group('bad')!r}", line_no, m.start("bad") + 1)
-        if m.group("int"):
-            tokens.append(("int", m.group("int"), m.start("int") + 1))
-        elif m.group("name"):
-            name = m.group("name")
-            kind = "kw" if name in KEYWORDS else "name"
-            tokens.append((kind, name, m.start("name") + 1))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op") + 1))
-        pos = m.end()
+    # Every character but whitespace matches one group, so the matches tile the line.
+    for m in _TOKEN_RE.finditer(text.split("#", 1)[0]):
+        kind = m.lastgroup
+        value, col = m[kind], m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line_no, col)
+        if kind == "name" and value in KEYWORDS:
+            kind = "kw"
+        tokens.append((kind, value, col))
     return tokens
 
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     op: str                      # "const" | "var" | binary operator | "neg"
     value: int | str | None = None
@@ -99,7 +95,7 @@ class Expr:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     kind: str                    # "assign" | "if" | "while" | "output"
     index: int                   # 1-based statement number
@@ -115,6 +111,15 @@ class Program:
     source: str
     body: list[Stmt]
     statements: list[Stmt]       # position j holds S_{j+1}
+    # The top-level block compiled to statement closures, which execute runs.
+    code: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.code = _compile_block(self.body)
+
+    def __reduce__(self):
+        # Closures do not pickle: ship the source and parse it again.
+        return parse, (self.source,)
 
     @property
     def size(self) -> int:
@@ -348,121 +353,177 @@ class _Fault(Exception):
         self.note = note
 
 
-class _Interp:
-    def __init__(self, program, inputs, loop_cap, step_cap):
-        self.program = program
-        self.loop_cap = loop_cap
-        self.step_cap = step_cap
-        self.env: dict[str, tuple[int, int | None]] = {}
-        for v, val in inputs.items():
-            # int() would truncate 1.7 and parse "12"; a bool is no integer here
-            if type(val) is not int and (isinstance(val, bool)
-                                         or not isinstance(val, numbers.Integral)):
-                raise InvalidInput(f"test input {v!r} is not an integer: {val!r}")
-            self.env[v] = (int(val), None)
-        self.trace: list[int] = []
-        self.data_edges: list[tuple[int, int]] = []
-        self.control_edges: list[tuple[int, int]] = []
-        self.ctrl_stack: list[int] = []
-        self.outputs: dict[str, int] = {}
-        self.events: list[OutputEvent] = []
+def _undefined(name: str) -> _Fault:
+    return _Fault(f"runtime: undefined variable {name!r}")
 
-    def occurrence(self, stmt: Stmt) -> int:
-        if len(self.trace) >= self.step_cap:
-            raise _Fault("non_termination: step cap exceeded")
-        occ = len(self.trace)
-        self.trace.append(stmt.index)
-        if self.ctrl_stack:
-            self.control_edges.append((occ, self.ctrl_stack[-1]))
-        return occ
 
-    def read(self, name: str, occ: int) -> int:
-        if name not in self.env:
-            raise _Fault(f"runtime: undefined variable {name!r}")
-        value, def_occ = self.env[name]
-        if def_occ is not None:
-            self.data_edges.append((occ, def_occ))
-        return value
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        raise _Fault("runtime: division by zero")
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
 
-    def eval(self, e: Expr, occ: int) -> int:
-        if e.op == "const":
-            return e.value
-        if e.op == "var":
-            return self.read(e.value, occ)
-        if e.op == "neg":
-            return -self.eval(e.args[0], occ)
-        a = self.eval(e.args[0], occ)
-        b = self.eval(e.args[1], occ)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op in ("/", "%"):
-            if b == 0:
-                raise _Fault("runtime: division by zero")
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            return q if e.op == "/" else a - q * b
-        if e.op == "==":
-            return int(a == b)
-        if e.op == "!=":
-            return int(a != b)
-        if e.op == "<":
-            return int(a < b)
-        if e.op == "<=":
-            return int(a <= b)
-        if e.op == ">":
-            return int(a > b)
-        if e.op == ">=":
-            return int(a >= b)
-        raise AssertionError(f"unknown op {e.op}")
 
-    def run_block(self, stmts: list[Stmt]) -> None:
-        for s in stmts:
-            self.run_stmt(s)
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise _Fault("runtime: division by zero")
+    q = abs(a) // abs(b)
+    return a - (-q if (a < 0) != (b < 0) else q) * b
 
-    def run_stmt(self, s: Stmt) -> None:
-        if s.kind == "assign":
-            occ = self.occurrence(s)
-            value = self.eval(s.expr, occ)
+
+# What each binary operator computes in a value; a comparison yields 0 or 1.
+_VALUE_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
+    "==": lambda a, b: 1 if a == b else 0, "!=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0, "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0, ">=": lambda a, b: 1 if a >= b else 0,
+}
+# At the top of an if/while condition only truth counts, so a bool will do.
+_TEST_OPS = {**_VALUE_OPS, "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_NEG_LIMIT = -VALUE_LIMIT
+_STEP_CAP_FAULT = "non_termination: step cap exceeded"
+
+# parse compiles each program once, into one closure per statement and per
+# operator, so that a run dispatches on no strings.  An expression closure
+# is called as ev(env, data, occ) and returns the value:
+#   env   name -> (value, defining occurrence, or None for a test input)
+#   data  the data edges (use occurrence, def occurrence), appended in order
+#   occ   the occurrence the expression is evaluated for
+# For `var op const` and `var op var`, the commonest shapes, the reads are
+# written out inside the operator's closure, so a read and its data edge
+# cost no call of their own.  What a closure was compiled with (operand
+# names, constants, inner closures) it takes as default arguments: those
+# load as plain locals and need no cell objects.
+
+
+def _compile_expr(e: Expr, ops: dict = _VALUE_OPS):
+    if e.op == "const":
+        return lambda env, data, occ, c=e.value: c
+    if e.op == "var":
+        def ev(env, data, occ, x=e.value):
+            try:
+                a, d = env[x]
+            except KeyError:
+                raise _undefined(x)
+            if d is not None:
+                data.append((occ, d))
+            return a
+        return ev
+    if e.op == "neg":
+        return lambda env, data, occ, inner=_compile_expr(e.args[0]): -inner(env, data, occ)
+    f = ops[e.op]
+    left, right = e.args
+    if left.op == "var" and right.op == "const":
+        def ev(env, data, occ, x=left.value, c=right.value, f=f):
+            try:
+                a, d = env[x]
+            except KeyError:
+                raise _undefined(x)
+            if d is not None:
+                data.append((occ, d))
+            return f(a, c)
+    elif left.op == "var" and right.op == "var":
+        def ev(env, data, occ, x=left.value, y=right.value, f=f):
+            try:
+                a, d = env[x]
+            except KeyError:
+                raise _undefined(x)
+            if d is not None:
+                data.append((occ, d))
+            try:
+                b, d = env[y]
+            except KeyError:
+                raise _undefined(y)
+            if d is not None:
+                data.append((occ, d))
+            return f(a, b)
+    else:
+        def ev(env, data, occ, lv=_compile_expr(left), rv=_compile_expr(right), f=f):
+            return f(lv(env, data, occ), rv(env, data, occ))
+    return ev
+
+
+# A statement closure is called as
+#   run(env, data, trace, cedges, events, ctl, step_cap, loop_cap)
+# with env and data as above and
+#   trace   the statement index per occurrence; its length is the next occurrence
+#   cedges  the control edges (occurrence, governing predicate occurrence)
+#   events  (occurrence, statement, variable, value) per output
+#   ctl     the occurrence of the predicate governing the block, None at top level
+# Each closure opens its own occurrence: step-cap check, trace, control edge.
+
+
+def _compile_block(stmts: list[Stmt]) -> tuple:
+    return tuple(_compile_stmt(s) for s in stmts)
+
+
+def _compile_stmt(s: Stmt):
+    if s.kind == "assign":
+        def run(env, data, trace, cedges, events, ctl, step_cap, loop_cap,
+                index=s.index, var=s.var, ev=_compile_expr(s.expr)):
+            occ = len(trace)
+            if occ >= step_cap:
+                raise _Fault(_STEP_CAP_FAULT)
+            trace.append(index)
+            if ctl is not None:
+                cedges.append((occ, ctl))
+            value = ev(env, data, occ)
             # Bounding every stored value bounds each expression's
             # intermediates too, so a squaring loop faults instead of growing.
-            if abs(value) >= VALUE_LIMIT:
+            if not _NEG_LIMIT < value < VALUE_LIMIT:
                 raise _Fault("runtime: overflow")
-            self.env[s.var] = (value, occ)
-        elif s.kind == "output":
-            occ = self.occurrence(s)
-            value = self.read(s.var, occ)
-            self.outputs[s.var] = value
-            self.events.append(OutputEvent(occ=occ, stmt=s.index, var=s.var, value=value))
-        elif s.kind == "if":
-            occ = self.occurrence(s)
-            taken = self.eval(s.expr, occ) != 0
-            branch = s.body if taken else s.orelse
-            self.ctrl_stack.append(occ)
+            env[var] = (value, occ)
+    elif s.kind == "output":
+        def run(env, data, trace, cedges, events, ctl, step_cap, loop_cap,
+                index=s.index, var=s.var):
+            occ = len(trace)
+            if occ >= step_cap:
+                raise _Fault(_STEP_CAP_FAULT)
+            trace.append(index)
+            if ctl is not None:
+                cedges.append((occ, ctl))
             try:
-                self.run_block(branch)
-            finally:
-                self.ctrl_stack.pop()
-        elif s.kind == "while":
+                value, d = env[var]
+            except KeyError:
+                raise _undefined(var)
+            if d is not None:
+                data.append((occ, d))
+            events.append((occ, index, var, value))
+    elif s.kind == "if":
+        def run(env, data, trace, cedges, events, ctl, step_cap, loop_cap,
+                index=s.index, test=_compile_expr(s.expr, _TEST_OPS),
+                body=_compile_block(s.body), orelse=_compile_block(s.orelse)):
+            occ = len(trace)
+            if occ >= step_cap:
+                raise _Fault(_STEP_CAP_FAULT)
+            trace.append(index)
+            if ctl is not None:
+                cedges.append((occ, ctl))
+            for inner in body if test(env, data, occ) else orelse:
+                inner(env, data, trace, cedges, events, occ, step_cap, loop_cap)
+    elif s.kind == "while":
+        def run(env, data, trace, cedges, events, ctl, step_cap, loop_cap,
+                index=s.index, test=_compile_expr(s.expr, _TEST_OPS),
+                body=_compile_block(s.body)):
             iterations = 0
             while True:
-                occ = self.occurrence(s)
-                if self.eval(s.expr, occ) == 0:
-                    break
+                occ = len(trace)
+                if occ >= step_cap:
+                    raise _Fault(_STEP_CAP_FAULT)
+                trace.append(index)
+                if ctl is not None:
+                    cedges.append((occ, ctl))
+                if not test(env, data, occ):
+                    return
                 iterations += 1
-                if iterations > self.loop_cap:
+                if iterations > loop_cap:
                     raise _Fault("non_termination: loop cap exceeded")
-                self.ctrl_stack.append(occ)
-                try:
-                    self.run_block(s.body)
-                finally:
-                    self.ctrl_stack.pop()
-        else:
-            raise AssertionError(f"unknown statement kind {s.kind}")
+                for inner in body:
+                    inner(env, data, trace, cedges, events, occ, step_cap, loop_cap)
+    else:
+        raise AssertionError(f"unknown statement kind {s.kind}")
+    return run
 
 
 def execute(
@@ -478,27 +539,38 @@ def execute(
     The verdict is "fail" iff a runtime fault occurred, the loop cap was
     exceeded, or the final output map differs from the oracle.
     """
-    interp = _Interp(program, inputs, loop_cap, step_cap)
+    env: dict[str, tuple[int, int | None]] = {}
+    for v, val in inputs.items():
+        # int() would truncate 1.7 and parse "12"; a bool is no integer here
+        if type(val) is not int and (isinstance(val, bool)
+                                     or not isinstance(val, numbers.Integral)):
+            raise InvalidInput(f"test input {v!r} is not an integer: {val!r}")
+        env[v] = (int(val), None)
+    trace: list[int] = []
+    data: list[tuple[int, int]] = []
+    cedges: list[tuple[int, int]] = []
+    events: list[tuple[int, int, str, int]] = []
     fault = None
     try:
-        interp.run_block(program.body)
+        for run in program.code:
+            run(env, data, trace, cedges, events, None, step_cap, loop_cap)
     except _Fault as f:
         fault = f.note
     coverage = np.zeros(program.size, dtype=np.int8)
-    for idx in interp.trace:
-        coverage[idx - 1] = 1
-    verdict = "fail" if (fault is not None or interp.outputs != dict(oracle)) else "pass"
+    coverage[np.fromiter(set(trace), np.intp) - 1] = 1
+    outputs = {var: value for _, _, var, value in events}
+    oracle = dict(oracle)
     return ExecutionRecord(
         test_id=test_id,
         coverage_row=coverage,
-        trace=interp.trace,
-        data_edges=interp.data_edges,
-        control_edges=interp.control_edges,
-        outputs=interp.outputs,
-        output_events=interp.events,
-        verdict=verdict,
+        trace=trace,
+        data_edges=data,
+        control_edges=cedges,
+        outputs=outputs,
+        output_events=[OutputEvent(*e) for e in events],
+        verdict="fail" if (fault is not None or outputs != oracle) else "pass",
         fault=fault,
-        oracle=dict(oracle),
+        oracle=oracle,
     )
 
 

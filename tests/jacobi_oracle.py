@@ -5,7 +5,8 @@ gathering and scattering its columns in every round.  It now rotates only
 the live block, stored transposed, with index plans built once per call.
 Every element still goes through the same operations in the same order,
 so both solvers must agree bit for bit; the old body is kept here
-verbatim as the reference.
+verbatim as the reference, with the line that may overflow run under
+the same `np.errstate` as the library's.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def eigen_sym(matrix: np.ndarray,
             rotated = apq != 0.0
             p, q, apq = p[rotated], q[rotated], apq[rotated]
             theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            with np.errstate(over="ignore"):
+                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             t[theta == 0.0] = 1.0
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c

@@ -62,7 +62,7 @@ def test_corpus_roundtrip_and_imbalance(tmp_path):
 
 def test_unsatisfiable_template_raises():
     from faultlab.corpus import TemplateInstance, build_suite
-    from faultlab.minilang import Mutation
+    from faultlab.minilang import Mutation, parse, seed_fault
 
     # the mutation never changes behavior, so no failing test exists
     inst = TemplateInstance(
@@ -71,8 +71,10 @@ def test_unsatisfiable_template_raises():
         mutation=Mutation(target=1, kind="constant-replacement", payload="0"),
         sample_inputs=lambda r: {"x": int(r.integers(0, 5))},
     )
+    correct = parse(inst.source)
     with pytest.raises(TemplateError):
-        build_suite(inst, np.random.default_rng(0), n_fail=1, n_pass=2)
+        build_suite(inst, correct, seed_fault(correct, inst.mutation),
+                    np.random.default_rng(0), n_fail=1, n_pass=2)
 
 
 def test_pipeline_reports_are_reproducible(tmp_path):

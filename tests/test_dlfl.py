@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from faultlab.dlfl import (
+    HIDDEN,
+    LR,
     MlpFlConfig,
     MlpFlModel,
     train_mlpfl,
@@ -129,8 +131,8 @@ def _tape_train_mlpfl(dataset, cfg):
     """The autodiff-tape training loop that the closed-form step replaced."""
     y = dataset.errors.astype(np.float64)
     rng = np.random.default_rng(cfg.seed)
-    model = MlpFlModel(rng, dataset.num_statements, cfg.hidden)
-    opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    model = MlpFlModel(rng, dataset.num_statements, HIDDEN)
+    opt = AdamW(model.named_params(), lr=LR, weight_decay=cfg.weight_decay)
     x = Tensor(dataset.matrix.astype(np.float64))
     targets = Tensor(y.reshape(-1, 1))
     for _ in range(cfg.steps):

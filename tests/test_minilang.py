@@ -231,17 +231,18 @@ def test_deeply_nested_blocks_are_a_parse_error():
 
 def test_blocks_at_the_depth_cap_run():
     # if and while blocks alternate, and else arms reopen at the same depth;
-    # the innermost expression is at its own cap too.
+    # the innermost expression is at both of its caps too: m - 1 negations
+    # and one '(' nest m deep and make a tree m nodes deep.
     n, m = MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
     def nested(depth):
         lines = ["x = 0", "w = 1"]
         for d in range(depth):
             lines.append("while w > 0 {" if d % 2 else "if 0 {\n} else {")
-        lines.append("x = " + "(" * m + "7" + ")" * m)
+        lines.append("x = " + "-" * (m - 1) + "(7)")
         for d in reversed(range(depth)):
             lines.append("w = 0\n}" if d % 2 else "}")
         return "\n".join(lines) + "\noutput(x)\n"
 
-    assert execute(parse(nested(n)), {}, {"x": 7}).verdict == "pass"
+    assert execute(parse(nested(n)), {}, {"x": 7 * (-1) ** (m - 1)}).verdict == "pass"
     with pytest.raises(ParseError, match=f"deeper than {MAX_BLOCK_DEPTH}"):
         parse(nested(n + 1))
