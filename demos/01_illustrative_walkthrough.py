@@ -56,7 +56,7 @@ fused = fuse(semantic.stm_sc, statistical.stm_pca, alpha=1.0)
 print(f"fused context: {fused.stm_fusion} (width {fused.target_dim})")
 
 # Train the conditional generator on the fused columns and rebalance.
-cfg = TrainConfig(epochs=2000, patience=50)
+cfg = TrainConfig(epochs=2000)
 rows = dataset.matrix[:, [s - 1 for s in fused.stm_fusion]]
 bundle = train(rows, dataset.errors, cfg, rng=np.random.default_rng(7))
 print(f"\ntrained for {len(bundle.losses)} epochs, "

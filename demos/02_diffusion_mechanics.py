@@ -41,7 +41,7 @@ for t in (1, 250, 500, 1000):
 # --- train a tiny conditional model -----------------------------------------
 data = np.array([[1, 1, 0, 0]] * 4 + [[0, 0, 1, 1]] * 8, dtype=np.int8)
 labels = np.array([1] * 4 + [0] * 8)
-cfg = TrainConfig(epochs=1500, patience=50, lr=1e-3)
+cfg = TrainConfig(epochs=1500, lr=1e-3)
 bundle = train(data, labels, cfg, rng=np.random.default_rng(3))
 print(f"\ntrained {len(bundle.losses)} epochs; "
       f"loss {bundle.losses[0]:.2f} -> {np.mean(bundle.losses[-50:]):.2f}")

@@ -29,7 +29,7 @@ cfg = RunConfig(
     scenarios=("origin", "pcd", "undersample", "resample"),
     methods=("dstar", "ochiai", "barinel", "gp02"),
     seed=SEED,
-    train=TrainConfig(lr=3e-4, epochs=2000, patience=50),
+    train=TrainConfig(lr=3e-4, epochs=2000),
 )
 
 start = time.time()

@@ -3,8 +3,8 @@
 Three routes to #fail == #pass: generating synthetic failing rows with
 the trained diffusion model (confined to the fused-context columns),
 undersampling passing rows, or resampling failing rows with replacement.
-Original rows are never modified; synthetic/duplicated rows are flagged
-in the provenance column.
+Original rows are never modified; added rows are marked by their test
+ids, g1, g2, ... for generated rows and r1, r2, ... for resampled ones.
 """
 
 from __future__ import annotations
@@ -36,13 +36,15 @@ def binarize(sample: np.ndarray) -> np.ndarray:
     return (sample > 0.0).astype(np.int8)
 
 
-def _with_rows(dataset: CoverageDataset, rows, errors, prov, test_ids) -> CoverageDataset:
-    return CoverageDataset(
-        matrix=np.concatenate([dataset.matrix, rows]) if len(rows) else dataset.matrix.copy(),
-        errors=np.concatenate([dataset.errors, errors]) if len(errors) else dataset.errors.copy(),
-        stmt_ids=list(dataset.stmt_ids),
-        provenance=list(dataset.provenance) + list(prov),
-        test_ids=list(dataset.test_ids) + list(test_ids),
+def _with_rows(dataset: CoverageDataset, rows: np.ndarray, prefix: str) -> AugmentedDataset:
+    """The dataset with failing `rows` appended, test ids prefix1, prefix2, ..."""
+    return AugmentedDataset(
+        dataset=CoverageDataset(
+            matrix=np.concatenate([dataset.matrix, rows]),
+            errors=np.concatenate([dataset.errors, np.ones(len(rows), dtype=np.int8)]),
+            test_ids=dataset.test_ids + [f"{prefix}{i + 1}" for i in range(len(rows))],
+        ),
+        synthetic_rows=rows,
     )
 
 
@@ -61,37 +63,21 @@ def generate_until_balanced(
     """
     if dataset.num_failing == 0:
         raise NoFailingTests("cannot augment a dataset with no failing tests")
-    deficit = dataset.num_passing - dataset.num_failing
-    n_stmts = dataset.num_statements
     cols = [s - 1 for s in ctx.stm_fusion]
-    rows = np.zeros((0, n_stmts), dtype=np.int8)
-    if deficit > 0:
-        bits = np.zeros((deficit, len(cols)), dtype=np.int8)
-        pending = list(range(deficit))
-        attempts = 0
-        while pending:
-            raw = dpm_solve(bundle, len(pending), rng, label=FAIL_CLASS,
-                            gamma=cfg.gamma, steps=cfg.sample_steps,
-                            order=cfg.sample_order)
-            fresh = binarize(raw)
-            if cfg.reject_empty and attempts < 20:
-                keep = [i for i, row in enumerate(fresh) if row.any()]
-            else:
-                keep = list(range(len(fresh)))
-            for src in keep:
-                if not pending:
-                    break
-                bits[pending.pop(0)] = fresh[src]
-            attempts += 1
-        rows = np.zeros((deficit, n_stmts), dtype=np.int8)
-        rows[:, cols] = bits
-    errors = np.ones(len(rows), dtype=np.int8)
-    prov = ["synthetic"] * len(rows)
-    ids = [f"g{i + 1}" for i in range(len(rows))]
-    return AugmentedDataset(
-        dataset=_with_rows(dataset, rows, errors, prov, ids),
-        synthetic_rows=rows,
-    )
+    rows = np.zeros((max(dataset.num_passing - dataset.num_failing, 0),
+                     dataset.num_statements), dtype=np.int8)
+    filled = attempts = 0
+    while filled < len(rows):
+        raw = dpm_solve(bundle, len(rows) - filled, rng, label=FAIL_CLASS,
+                        gamma=cfg.gamma, steps=cfg.sample_steps,
+                        order=cfg.sample_order)
+        fresh = binarize(raw)
+        if cfg.reject_empty and attempts < 20:
+            fresh = fresh[fresh.any(axis=1)]
+        rows[filled:filled + len(fresh), cols] = fresh
+        filled += len(fresh)
+        attempts += 1
+    return _with_rows(dataset, rows, "g")
 
 
 def undersample(dataset: CoverageDataset, rng: np.random.Generator) -> AugmentedDataset:
@@ -108,8 +94,6 @@ def undersample(dataset: CoverageDataset, rng: np.random.Generator) -> Augmented
     reduced = CoverageDataset(
         matrix=dataset.matrix[sel].copy(),
         errors=dataset.errors[sel].copy(),
-        stmt_ids=list(dataset.stmt_ids),
-        provenance=[dataset.provenance[i] for i in sel],
         test_ids=[dataset.test_ids[i] for i in sel],
     )
     return AugmentedDataset(
@@ -123,16 +107,6 @@ def resample(dataset: CoverageDataset, rng: np.random.Generator) -> AugmentedDat
     if dataset.num_failing == 0:
         raise NoFailingTests("cannot resample a dataset with no failing tests")
     fail_idx = np.flatnonzero(dataset.errors == 1)
-    deficit = dataset.num_passing - dataset.num_failing
-    if deficit > 0:
-        picks = rng.choice(fail_idx, size=deficit, replace=True)
-        rows = dataset.matrix[picks].copy()
-    else:
-        rows = np.zeros((0, dataset.num_statements), dtype=np.int8)
-    errors = np.ones(len(rows), dtype=np.int8)
-    prov = ["synthetic"] * len(rows)
-    ids = [f"r{i + 1}" for i in range(len(rows))]
-    return AugmentedDataset(
-        dataset=_with_rows(dataset, rows, errors, prov, ids),
-        synthetic_rows=rows,
-    )
+    deficit = max(dataset.num_passing - dataset.num_failing, 0)
+    picks = rng.choice(fail_idx, size=deficit, replace=True)
+    return _with_rows(dataset, dataset.matrix[picks], "r")

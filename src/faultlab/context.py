@@ -187,11 +187,7 @@ def _tie_groups(x: np.ndarray) -> list[int]:
     return [seen.setdefault(tuple(col.tolist()), j) for j, col in enumerate(d.T)]
 
 
-def contribution_select(
-    x: np.ndarray,
-    m: int | None = None,
-    k2: int | None = None,
-) -> StatisticalContext:
+def contribution_select(x: np.ndarray, m: int | None = None) -> StatisticalContext:
     """Rank statements by summed absolute loadings on the top-m eigenvectors.
 
     covX is the covariance of the coverage columns (rows are samples,
@@ -203,10 +199,6 @@ def contribution_select(
     rows, n = x.shape
     if rows < 2:
         raise DegenerateData("need at least 2 samples to form a covariance")
-    if k2 is None:
-        k2 = n
-    if not 1 <= k2 <= n:
-        raise DegenerateData(f"K''={k2} outside 1..{n}")
     centered = x - x.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (rows - 1)
     eigvals, eigvecs = eigen_sym(cov)
@@ -219,14 +211,10 @@ def contribution_select(
     snapped = np.round(contributions, 9)
     order = sorted(range(n), key=lambda i: (-snapped[i], i))
     return StatisticalContext(
-        stm_pca=[i + 1 for i in order[:k2]],
+        stm_pca=[i + 1 for i in order],
         contributions=contributions,
         m=m,
     )
-
-
-def _floor_even(n: int) -> int:
-    return n if n % 2 == 0 else n - 1
 
 
 def default_target_dim(stm_sc, stm_pca, k_f) -> int:
@@ -239,7 +227,7 @@ def default_target_dim(stm_sc, stm_pca, k_f) -> int:
     initial = [s for s in stm_pca[:k_f] if s in sc]
     lower = max(MIN_WIDTH, len(initial))
     k = lower if lower % 2 == 0 else lower + 1
-    cap = _floor_even(len(stm_sc))
+    cap = len(stm_sc) // 2 * 2
     if cap < MIN_WIDTH:
         raise InsufficientContext(
             f"semantic context has {len(stm_sc)} statements; need at least {MIN_WIDTH}"
@@ -258,7 +246,9 @@ def fuse(
     The fusion starts from StmSC ∩ StmPCA[:K^f] (K^f = round(alpha |StmSC|))
     and then walks StmPCA in order, admitting statements that are also in
     StmSC, until the target width is reached.  The emitted index list is
-    sorted ascending.
+    sorted ascending.  StmPCA is the full statistical order, so it holds
+    every context statement; an order that lacks some, so that the walk
+    ends short of the width, raises InsufficientContext.
     """
     if alpha < 0:
         raise ValueError("fusion ratio alpha must be non-negative")
@@ -269,27 +259,12 @@ def fuse(
         target_dim = default_target_dim(stm_sc, stm_pca, k_f)
 
     sc = set(stm_sc)
-    fusion: list[int] = []
-    chosen: set[int] = set()
-    # One scan is equivalent to "initial intersection, then refill": every
-    # member of StmPCA[:K^f] ∩ StmSC is met first in StmPCA order anyway.
-    for s in stm_pca:
-        if len(fusion) >= target_dim:
-            break
-        if s in sc and s not in chosen:
-            fusion.append(s)
-            chosen.add(s)
-
+    # One ordered filter is equivalent to "initial intersection, then
+    # refill": every member of StmPCA[:K^f] ∩ StmSC is met first anyway.
+    fusion = [s for s in stm_pca if s in sc][:target_dim]
     if len(fusion) < target_dim:
-        # Downgrade to the widest even context the scan can support.
-        shrunk = _floor_even(len(fusion))
-        if shrunk < MIN_WIDTH:
-            raise InsufficientContext(
-                f"fusion scan found only {len(fusion)} usable statements; "
-                f"need at least {MIN_WIDTH}"
-            )
-        fusion = fusion[:shrunk]
-        target_dim = shrunk
+        raise InsufficientContext(
+            f"statistical order holds {len(fusion)} context statements; need {target_dim}")
 
     return FusedContext(
         stm_fusion=sorted(fusion),

@@ -518,6 +518,9 @@ def read_manifest(corpus_dir: str | Path) -> list[str]:
         raise IoError(f"cannot load corpus {corpus_dir}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(version_ids, list) or not all(isinstance(v, str) for v in version_ids):
         raise IoError(f"cannot load corpus {corpus_dir}: 'versions' is not a list of ids")
+    if len(set(version_ids)) < len(version_ids):
+        twice = next(v for i, v in enumerate(version_ids) if v in version_ids[:i])
+        raise IoError(f"cannot load corpus {corpus_dir}: version {twice!r} is listed twice")
     return version_ids
 
 

@@ -3,7 +3,7 @@
 Rows enter as bits, are encoded to {-1,+1}, and are generated back through
 either ancestral sampling or a fast log-SNR ODE integrator.  Conditioning
 is classifier-free: training drops the class label with probability
-p_uncond, and generation blends conditional and unconditional noise
+P_UNCOND, and generation blends conditional and unconditional noise
 predictions as (1+gamma)*eps_c - gamma*eps_u.
 
 The ancestral update is implemented in the generalized-variance form
@@ -89,6 +89,10 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
+P_UNCOND = 0.1                   # probability of training on the null label
+PATIENCE = 50                    # stale epochs that end training on a plateau
+
+
 @dataclass
 class TrainConfig:
     steps: int = 1000            # diffusion steps T
@@ -98,9 +102,7 @@ class TrainConfig:
     betaT: float = 0.02
     alpha: float = 1.0           # fusion ratio, passed to context.fuse
     gamma: float = 2.0           # guidance scale
-    p_uncond: float = 0.1
     epochs: int = 400
-    patience: int = 50
     sample_steps: int = 25
     sample_order: int = 2
     reject_empty: bool = False
@@ -142,7 +144,7 @@ def train_step(model: Denoiser, opt: AdamW, batch_x: np.ndarray,
     n, width = batch_x.shape
     t = rng.integers(1, sched.T + 1, size=n)
     eps = rng.standard_normal((n, width))
-    cond = apply_label_dropout(labels, cfg.p_uncond, rng)
+    cond = apply_label_dropout(labels, P_UNCOND, rng)
     x_t = q_sample(batch_x, t, eps, sched)
     pred = model(x_t, t, cond)
     diff = pred.reshape(n, width) - Tensor(eps)
@@ -183,7 +185,7 @@ def train(rows01: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
                 stale = 0
             else:
                 stale += 1
-                if stale >= cfg.patience:
+                if stale >= PATIENCE:
                     break
     return DiffusionBundle(model=model, sched=sched, gamma=cfg.gamma,
                            width=width, losses=losses)

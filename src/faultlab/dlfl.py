@@ -28,12 +28,12 @@ from .spectra import CoverageDataset
 
 HIDDEN = 64                     # width of both hidden layers
 LR = 3e-3                       # AdamW learning rate
+WEIGHT_DECAY = 0.0              # AdamW decoupled weight decay
 
 
 @dataclass
 class MlpFlConfig:
     steps: int = 2000
-    weight_decay: float = 0.0
     seed: int = 0
 
 
@@ -75,7 +75,7 @@ def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> Mlp
         raise SingleClassDataset("training data holds a single class")
     rng = np.random.default_rng(cfg.seed)
     model = MlpFlModel(rng, dataset.num_statements)
-    opt = AdamW(model.named_params(), lr=LR, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.named_params(), lr=LR, weight_decay=WEIGHT_DECAY)
     x = dataset.matrix.astype(np.float64)
     y = y.reshape(-1, 1)
     # d(mean)/d(row loss), as the tape's backward of `.mean()` produces it

@@ -17,19 +17,20 @@ runtime fault (overflow).  Statements (assignment, if-header, while-header,
 output) are numbered 1..N in source order; closing braces and ``else``
 lines are not statements.
 
-parse() compiles each program once, into one closure per statement and
-per operator; execute() runs those closures against an input binding and
-an oracle, recording a full occurrence-level trace with dynamic data and
-control dependence edges.  The tree-walking interpreter they replaced is
-kept in tests/minilang_oracle.py as the reference they must match bit for
-bit.  Runtime faults (division by zero, undefined variable, overflow,
-loop-cap overrun) mark the test failing; they never raise out of the
-harness.  A test input that is not an integer (a float, a string,
-a bool) raises InvalidInput.
+Each program is compiled once, on its first execute(), into one closure
+per statement and per operator; execute() runs those closures against an
+input binding and an oracle, recording a full occurrence-level trace with
+dynamic data and control dependence edges.  The tree-walking interpreter
+they replaced is kept in tests/minilang_oracle.py as the reference they
+must match bit for bit.  Runtime faults (division by zero, undefined
+variable, overflow, loop-cap overrun) mark the test failing; they never
+raise out of the harness.  A test input that is not an integer (a float,
+a string, a bool) raises InvalidInput.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import operator
@@ -111,11 +112,12 @@ class Program:
     source: str
     body: list[Stmt]
     statements: list[Stmt]       # position j holds S_{j+1}
-    # The top-level block compiled to statement closures, which execute runs.
-    code: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.code = _compile_block(self.body)
+    @functools.cached_property
+    def code(self) -> tuple:
+        """The top-level block compiled to statement closures, built on the
+        first execute; a program that never runs is never compiled."""
+        return _compile_block(self.body)
 
     def __reduce__(self):
         # Closures do not pickle: ship the source and parse it again.
@@ -384,7 +386,7 @@ _TEST_OPS = {**_VALUE_OPS, "==": operator.eq, "!=": operator.ne, "<": operator.l
 _NEG_LIMIT = -VALUE_LIMIT
 _STEP_CAP_FAULT = "non_termination: step cap exceeded"
 
-# parse compiles each program once, into one closure per statement and per
+# A program is compiled once, into one closure per statement and per
 # operator, so that a run dispatches on no strings.  An expression closure
 # is called as ev(env, data, occ) and returns the value:
 #   env   name -> (value, defining occurrence, or None for a test input)
@@ -668,4 +670,4 @@ def load_suite(path: str | Path) -> list[TestCase]:
 
 def save_suite(path: str | Path, suite: list[TestCase]) -> None:
     payload = [{"inputs": t.inputs, "oracle": t.oracle} for t in suite]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload) + "\n")

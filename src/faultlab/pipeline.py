@@ -49,6 +49,7 @@ class RunConfig:
         problems += [f"unknown method {m!r}" for m in self.methods if m not in ALL_METHODS]
         for ok, what in (
             (self.scenarios, "scenario set must be non-empty"),
+            (self.methods, "method set must be non-empty"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.tie in ("ordinal", "best"), "tie must be 'ordinal' or 'best'"),
             (t.eval_space in ("full", "context"), "eval_space must be 'full' or 'context'"),
@@ -119,82 +120,59 @@ def _substream(root_seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=root_seed, spawn_key=mapped))
 
 
-@dataclass
-class VersionOutcome:
-    version_id: str
-    rankings: dict[tuple[str, str], "object"] = field(default_factory=dict)
-    context_json: str | None = None
-    stm_fusion: list[int] | None = None
+def process_version(version: Version, cfg: RunConfig) -> tuple[dict, set[int], str | None]:
+    """One version's pass: coverage, the principal context, rebalancing and
+    the ranking of each (scenario, method).
 
-
-def _score_dataset(dataset: CoverageDataset, method: str, cfg: RunConfig,
-                   rng: np.random.Generator, fused_cols: list[int] | None):
-    if cfg.train.eval_space == "context" and fused_cols is not None:
-        sub = CoverageDataset(
-            matrix=dataset.matrix[:, fused_cols],
-            errors=dataset.errors,
-            stmt_ids=[dataset.stmt_ids[c] for c in fused_cols],
-            provenance=list(dataset.provenance),
-            test_ids=list(dataset.test_ids),
-        )
-        target = sub
-    else:
-        target = dataset
-    if method == "mlpfl":
-        model = train_mlpfl(target, MlpFlConfig(seed=int(rng.integers(0, 2**31 - 1))))
-        scores = virtual_suspiciousness(model)
-    else:
-        scores = score(method, tally(target))
-    return rank(scores)
-
-
-def process_version(version: Version, cfg: RunConfig) -> VersionOutcome:
-    outcome = VersionOutcome(version_id=version.version_id)
+    Returns the rankings, the fault statements and the context dump (None
+    when no scenario needs the context).  In the context space the rankings
+    and the faults number the fused columns from 1, and the faults are
+    empty when the fault lies outside the fused context.
+    """
+    stream = partial(_substream, cfg.seed, version.version_id)
     records = [
         execute(version.faulty, t.inputs, t.oracle, test_id=f"t{i + 1}")
         for i, t in enumerate(version.suite)
     ]
     dataset = build_spectra(records)
-    failing = [r for r in records if r.failing]
-    fused = None
-    fused_cols = None
-
-    needs_context = "pcd" in cfg.scenarios or cfg.train.eval_space == "context"
-    if needs_context:
-        semantic = fault_context(
-            [(r, default_criterion(r)) for r in failing[:cfg.train.fail_cap]])
+    faults = version.faulty_statements
+    in_context = cfg.train.eval_space == "context"
+    dump = None
+    if "pcd" in cfg.scenarios or in_context:
+        failing = [r for r in records if r.failing][:cfg.train.fail_cap]
+        semantic = fault_context([(r, default_criterion(r)) for r in failing])
         statistical = contribution_select(dataset.matrix)
         fused = fuse(semantic.stm_sc, statistical.stm_pca, alpha=cfg.train.alpha)
-        fused_cols = [s - 1 for s in fused.stm_fusion]
-        outcome.context_json = context_dump(semantic, statistical, fused)
-        outcome.stm_fusion = list(fused.stm_fusion)
+        dump = context_dump(semantic, statistical, fused)
+        cols = [s - 1 for s in fused.stm_fusion]
+        if in_context:
+            faults = {i + 1 for i, s in enumerate(fused.stm_fusion) if s in faults}
 
+    rankings = {}
     for scenario in cfg.scenarios:
         if scenario == "origin":
             scen_ds = dataset
         elif scenario == "pcd":
-            rows = dataset.matrix[:, fused_cols]
-            bundle = train(rows, dataset.errors, cfg.train,
-                           rng=_substream(cfg.seed, version.version_id, "training"))
-            augmented = aug_mod.generate_until_balanced(
-                bundle, dataset, fused, cfg.train,
-                _substream(cfg.seed, version.version_id, "sampling"))
-            scen_ds = augmented.dataset
+            bundle = train(dataset.matrix[:, cols], dataset.errors, cfg.train,
+                           rng=stream("training"))
+            scen_ds = aug_mod.generate_until_balanced(
+                bundle, dataset, fused, cfg.train, stream("sampling")).dataset
         elif scenario == "undersample":
-            scen_ds = aug_mod.undersample(
-                dataset, _substream(cfg.seed, version.version_id, "undersample")).dataset
+            scen_ds = aug_mod.undersample(dataset, stream("undersample")).dataset
         elif scenario == "resample":
-            scen_ds = aug_mod.resample(
-                dataset, _substream(cfg.seed, version.version_id, "resample")).dataset
+            scen_ds = aug_mod.resample(dataset, stream("resample")).dataset
         else:
             raise ValueError(scenario)
+        if in_context:
+            scen_ds = CoverageDataset(scen_ds.matrix[:, cols], scen_ds.errors, scen_ds.test_ids)
         for method in cfg.methods:
-            ranked = _score_dataset(
-                scen_ds, method, cfg,
-                _substream(cfg.seed, version.version_id, scenario, method),
-                fused_cols)
-            outcome.rankings[(scenario, method)] = ranked
-    return outcome
+            if method == "mlpfl":
+                seed = int(stream(scenario, method).integers(0, 2**31 - 1))
+                scores = virtual_suspiciousness(train_mlpfl(scen_ds, MlpFlConfig(seed=seed)))
+            else:
+                scores = score(method, tally(scen_ds))
+            rankings[(scenario, method)] = rank(scores)
+    return rankings, faults, dump
 
 
 def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None) -> MetricsReport:
@@ -212,27 +190,19 @@ def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None) -> Metri
     for version_id, load in loaders:
         try:
             version = load()
-            outcome = process_version(version, cfg)
+            rankings, faults, dump = process_version(version, cfg)
         except FaultlabError as exc:
             errors.append({"version": version_id,
                            "error": type(exc).__name__, "message": str(exc)})
             continue
-        if outcome.context_json:
-            context_dumps[version.version_id] = outcome.context_json
-        faults = version.faulty_statements
-        for (scenario, method), ranked in outcome.rankings.items():
-            if cfg.train.eval_space == "context" and outcome.stm_fusion is not None:
-                # Faults outside the context cannot be ranked there; skip
-                # such versions in context-space aggregation.
-                inside = faults & set(outcome.stm_fusion)
-                if not inside:
-                    continue
-                remap = {s: i + 1 for i, s in enumerate(outcome.stm_fusion)}
-                local_faults = {remap[s] for s in inside}
-                result = VersionResult(version.version_id, ranked, local_faults, tie=cfg.tie)
-            else:
-                result = VersionResult(version.version_id, ranked, set(faults), tie=cfg.tie)
-            cells.setdefault((scenario, method), []).append(result)
+        if dump is not None:
+            context_dumps[version.version_id] = dump
+        # A fault outside the fused context cannot be ranked in the context
+        # space; such a version stays out of the aggregates.
+        if faults:
+            for key, ranked in rankings.items():
+                cells.setdefault(key, []).append(
+                    VersionResult(version.version_id, ranked, faults, tie=cfg.tie))
 
     report = summarize(cells)
     report.errors = errors

@@ -21,8 +21,8 @@ FORMULAS = ("dstar", "ochiai", "barinel", "gp02")
 class CoverageDataset:
     matrix: np.ndarray               # (M, N) int8
     errors: np.ndarray               # (M,) int8, 1 = fail
-    stmt_ids: list[str]              # length N labels, "S1".."SN"
-    provenance: list[str] = field(default_factory=list)   # "real" | "synthetic"
+    # "t1".."tM" for executed tests; rows added by balancing are "g<k>"
+    # (generated) or "r<k>" (resampled)
     test_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -30,10 +30,6 @@ class CoverageDataset:
         self.errors = np.asarray(self.errors, dtype=np.int8)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.errors.shape[0]:
             raise ValueError("matrix and error vector dimensions disagree")
-        if len(self.stmt_ids) != self.matrix.shape[1]:
-            raise ValueError("stmt_ids length must match matrix columns")
-        if not self.provenance:
-            self.provenance = ["real"] * self.matrix.shape[0]
         if not self.test_ids:
             self.test_ids = [f"t{i + 1}" for i in range(self.matrix.shape[0])]
 
@@ -86,11 +82,9 @@ def build_spectra(records) -> CoverageDataset:
         raise EmptySuite("no execution records")
     matrix = np.stack([r.coverage_row for r in records]).astype(np.int8)
     errors = np.array([1 if r.failing else 0 for r in records], dtype=np.int8)
-    n = matrix.shape[1]
     return CoverageDataset(
         matrix=matrix,
         errors=errors,
-        stmt_ids=[f"S{j + 1}" for j in range(n)],
         test_ids=[r.test_id or f"t{i + 1}" for i, r in enumerate(records)],
     )
 

@@ -14,7 +14,7 @@ from faultlab.spectra import build_spectra
 # fixture input for the documented fusion walkthrough.
 REFERENCE_PCA_ORDER = [14, 15, 10, 11, 6, 1, 2, 3, 13, 4, 5, 16, 8, 7, 9, 12]
 
-GOLDEN_TRAIN_CONFIG = TrainConfig(lr=3e-4, epochs=2000, patience=50)
+GOLDEN_TRAIN_CONFIG = TrainConfig(lr=3e-4, epochs=2000)
 
 
 @pytest.fixture(scope="session")

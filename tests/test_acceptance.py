@@ -247,7 +247,7 @@ def test_criterion_4_selection_algorithms(golden_semantic):
         if np.any((gaps > 0) & (gaps < 1e-7)):
             continue
         want = sorted(range(5), key=lambda i: (-np.round(contrib[i], 9), i))
-        got = contribution_select(x, m=2, k2=5)
+        got = contribution_select(x, m=2)
         assert got.stm_pca == [i + 1 for i in want]
         accepted += 1
 
@@ -327,7 +327,7 @@ def e2e_run():
         scenarios=("origin", "pcd", "undersample", "resample"),
         methods=("dstar", "ochiai", "barinel", "gp02"),
         seed=7,
-        train=TrainConfig(lr=3e-4, epochs=2000, patience=50),
+        train=TrainConfig(lr=3e-4, epochs=2000),
     )
     # Each rebalanced set the run builds, with the arguments it was built from.
     balanced = {"pcd": [], "undersample": [], "resample": []}

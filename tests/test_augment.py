@@ -12,7 +12,6 @@ def _dataset(matrix, errors):
     return CoverageDataset(
         matrix=matrix,
         errors=np.asarray(errors, dtype=np.int8),
-        stmt_ids=[f"S{j + 1}" for j in range(matrix.shape[1])],
     )
 
 
@@ -38,8 +37,7 @@ def test_generate_until_balanced_golden(golden_bundle, golden_dataset, golden_fu
     assert ds.num_failing == ds.num_passing == 4
     # original rows untouched
     assert np.array_equal(ds.matrix[:6], golden_dataset.matrix)
-    assert ds.provenance[:6] == ["real"] * 6
-    assert ds.provenance[6:] == ["synthetic", "synthetic"]
+    assert ds.test_ids == golden_dataset.test_ids + ["g1", "g2"]
     # synthetic coverage confined to the fused context columns
     outside = [j for j in range(ds.num_statements)
                if (j + 1) not in golden_fused.stm_fusion]
@@ -96,7 +94,7 @@ def test_resample_duplicates_failing_rows():
     fail_rows = ds.matrix[ds.errors == 1]
     for row in out.synthetic_rows:
         assert any(np.array_equal(row, fr) for fr in fail_rows)
-    assert out.dataset.provenance[-2:] == ["synthetic", "synthetic"]
+    assert out.dataset.test_ids == ds.test_ids + ["r1", "r2"]
     assert np.array_equal(out.dataset.matrix[:6], ds.matrix)
 
 

@@ -164,7 +164,7 @@ def test_contribution_matches_lapack_oracle():
         if np.any((gaps > 0) & (gaps < 1e-7)):
             continue
         want = sorted(range(5), key=lambda i: (-np.round(contrib[i], 9), i))
-        ctx = contribution_select(x, m=2, k2=5)
+        ctx = contribution_select(x, m=2)
         assert ctx.stm_pca == [i + 1 for i in want]
         accepted += 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from faultlab.corpus import (
 )
 from faultlab.diffusion import TrainConfig
 from faultlab.errors import FaultlabError, InvalidConfig, TemplateError
-from faultlab.minilang import execute
+from faultlab.minilang import Mutation, execute
 from faultlab.pipeline import RunConfig, emit_report, run_pipeline
 
 
@@ -88,6 +89,23 @@ def test_pipeline_reports_are_reproducible(tmp_path):
     assert _hash_tree(tmp_path / "r1") == _hash_tree(tmp_path / "r2")
 
 
+@pytest.mark.parametrize("eval_space, ranks, contexts", [
+    ("context", {"v000_illustrative": 1}, ["v000_illustrative", "v001_moved"]),
+    ("full", {"v000_illustrative": 5, "v001_moved": 1}, []),
+])
+def test_context_space_drops_a_fault_outside_the_context(golden_version, eval_space,
+                                                         ranks, contexts):
+    # The same faulty program, with its recorded fault moved to S10, which
+    # lies outside the fused context [1, 3, 14, 15].
+    moved = dataclasses.replace(golden_version, version_id="v001_moved",
+                                mutation=Mutation(10, "constant-replacement", "0"))
+    cfg = RunConfig(scenarios=("origin",), methods=("gp02",), seed=7,
+                    train=TrainConfig(eval_space=eval_space))
+    report = run_pipeline(cfg, versions=[golden_version, moved])
+    assert {row["version"]: row["first_rank"] for row in report.per_version} == ranks
+    assert sorted(report.config["contexts"]) == contexts
+
+
 def test_pipeline_isolates_version_failures(tmp_path):
     versions = generate_corpus(3, seed=9)
     # break one version: make every test pass so slicing cannot start
@@ -142,7 +160,8 @@ def test_cli_missing_or_malformed_corpus_exits_2(tmp_path, capsys):
     assert main(args + ["--corpus", str(tmp_path / "missing")]) == 2
     corpus_dir = tmp_path / "corpus"
     main(["corpus", "gen", "--out", str(corpus_dir), "--count", "2", "--seed", "4"])
-    for manifest in ("{}", '{"versions": 3}', '{"versions": "v000"}', "[{"):
+    for manifest in ("{}", '{"versions": 3}', '{"versions": "v000"}', "[{",
+                     '{"versions": ["v000_illustrative", "v000_illustrative"]}'):
         (corpus_dir / "manifest.json").write_text(manifest)
         assert main(args + ["--corpus", str(corpus_dir)]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -264,6 +283,7 @@ def test_version_dir_loads_back(tmp_path):
     (["--fail-cap", "0"], "fail_cap must be >= 1"),
     (["--op", "sgd"], "op must be 'adamw', got 'sgd'"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--methods", ""], "method set must be non-empty"),
 ])
 def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, message):
     # the corpus does not exist: validation has to fire before it is read

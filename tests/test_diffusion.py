@@ -132,7 +132,7 @@ def test_iterative_kernel_matches_closed_form_in_distribution():
 
 def test_train_step_loss_zero_for_exact_noise_oracle():
     sched = make_schedule(50, 1e-3, 0.05)
-    cfg = TrainConfig(steps=50, p_uncond=0.0)
+    cfg = TrainConfig(steps=50)
     x0 = encode_bits(np.array([[1, 0, 1, 1]]))
 
     def exact_eps(x_t, t, c):

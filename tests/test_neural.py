@@ -150,7 +150,7 @@ def test_class_conditioning_diverges_after_one_step():
     sched = make_schedule(50, 1e-4, 0.02)
     opt = AdamW(model.named_params(), lr=1e-2)
     train_step(model, opt, np.sign(x), np.array([0, 1, 0, 1]),
-               TrainConfig(p_uncond=0.5), sched, np.random.default_rng(0))
+               TrainConfig(), sched, np.random.default_rng(0))
     diff = model.predict(x, t, np.full(4, 1)) - model.predict(x, t, None)
     assert np.max(np.abs(diff)) > 0.0
 

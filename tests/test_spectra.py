@@ -46,7 +46,6 @@ def test_tally_counts(golden_dataset):
     ds = CoverageDataset(
         matrix=np.array([[1], [0], [1], [0], [0], [1]]),
         errors=np.array([1, 0, 1, 0, 0, 0]),
-        stmt_ids=["S1"],
     )
     t2 = tally(ds)
     assert (t2.a_ef[0], t2.a_ep[0], t2.a_nf[0], t2.a_np[0]) == (2, 1, 0, 3)
@@ -56,7 +55,6 @@ def test_tally_degenerate_columns():
     ds = CoverageDataset(
         matrix=np.array([[0, 1], [0, 1], [0, 1]]),
         errors=np.array([1, 1, 0]),
-        stmt_ids=["S1", "S2"],
     )
     t = tally(ds)
     assert (t.a_ef[0], t.a_ep[0], t.a_nf[0], t.a_np[0]) == (0, 0, 2, 1)
