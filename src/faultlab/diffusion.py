@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBatch, InvalidOrder, InvalidRange, TimestepOutOfRange
-from .neural import AdamW, Denoiser, FAIL_CLASS, NULL_CLASS, Tensor
+from .neural import AdamW, Denoiser, FAIL_CLASS, NULL_CLASS
 
 
 @dataclass
@@ -147,12 +147,19 @@ def train_step(model: Denoiser, opt: AdamW, batch_x: np.ndarray,
     cond = apply_label_dropout(labels, P_UNCOND, rng)
     x_t = q_sample(batch_x, t, eps, sched)
     pred = model(x_t, t, cond)
-    diff = pred.reshape(n, width) - Tensor(eps)
-    loss = (diff * diff).sum(axis=1).mean()
+    # The loss and its gradient in the order the autodiff tape took them:
+    # d loss / d diff reaches `diff` once per factor of the square, and the
+    # two terms are summed from zero.
+    diff = pred.data.reshape(n, width) - eps
+    loss = (diff * diff).sum(axis=1).sum() * (1.0 / n)
+    term = (1.0 / n) * diff
+    grad = np.zeros((n, width))
+    grad += term
+    grad += term
     opt.zero_grad()
-    loss.backward()
+    pred.backward(grad.reshape(pred.shape))
     opt.step()
-    return float(loss.data)
+    return float(loss)
 
 
 def train(rows01: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
@@ -232,7 +239,10 @@ def ancestral_sample(bundle: DiffusionBundle, n_samples: int,
 
 
 def dpm_timesteps(sched: NoiseSchedule, steps: int) -> list[int]:
-    """Integer timesteps T..1, approximately uniform in half log-SNR."""
+    """Integer timesteps T..1, approximately uniform in half log-SNR.  Fewer
+    than two steps still spans one ODE interval, T to 1."""
+    if steps < 2:
+        return [sched.T, 1]
     if steps >= sched.T:
         return list(range(sched.T, 0, -1))
     lam_T = float(sched.lambda_at(sched.T))

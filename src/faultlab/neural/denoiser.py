@@ -13,9 +13,9 @@ classifier-free training and guidance.
 
 The network is written once.  `forward` runs it on plain arrays and
 `backward` replays its layers in reverse from the output gradient.
-`__call__` records that pair as a single tape node, so a training step's
-tape holds the network and the few loss nodes; `predict` is `forward`
-without layer caches and builds no tape.
+`__call__` records that pair as a single tape node, the only node of a
+training step's tape; `predict` is `forward` without layer caches and
+builds no tape.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ gradient and that cache, adds its parameters' gradients and returns the
 gradient of its input.  No layer touches the autodiff tape: the denoiser
 records its whole forward/backward pair as one node (see `denoiser`).
 Both passes use the numpy operations, operand layouts and summation order
-of the primitive `Tensor` ops that the layers were once composed of, so
+of the primitive tape ops that the layers were once composed of, so
 results are the same bit for bit.  Elementwise steps may be regrouped
 freely (an elementwise op gives the same bits under any layout or
 broadcast form); every reduction and matrix product keeps its operand

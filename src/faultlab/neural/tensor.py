@@ -1,11 +1,12 @@
 """Reverse-mode autodiff over numpy arrays, float64 throughout.
 
-Gradients flow through a recorded tape: an op records a node when one of
-its operands requires a gradient.  The primitive ops here cover the
-diffusion loss only: the whole denoiser records itself as a single node
-(see `denoiser`), and its layers work on plain arrays.  Broadcasting in
-elementwise ops is undone in the backward pass by summing over the
-broadcast axes.
+Gradients flow through a recorded tape: a node is recorded when one of
+its parents requires a gradient.  The tape holds no arithmetic: the whole
+denoiser records itself as a single node (see `denoiser`) over the
+parameter leaves, its layers work on plain arrays, and
+`diffusion.train_step` writes the loss and its gradient out and hands that
+gradient to the network's node.  `_unbroadcast` undoes an elementwise
+broadcast in a layer's backward by summing over the broadcast axes.
 """
 
 from __future__ import annotations
@@ -33,15 +34,9 @@ class Tensor:
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
 
-    # -- plumbing ----------------------------------------------------------
-
     @property
     def shape(self):
         return self.data.shape
-
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
     def _accumulate(self, grad: np.ndarray) -> None:
         # Zero-fill then add, not assign: broadcasting and -0.0 behave as
@@ -51,11 +46,9 @@ class Tensor:
         self.grad += grad
 
     @classmethod
-    def _make(cls, data, parents: tuple, backward):
-        # The ops hand over float64 arrays already; only a reduction to a
-        # numpy scalar still needs wrapping.
+    def _make(cls, data: np.ndarray, parents: tuple, backward):
         out = object.__new__(cls)
-        out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+        out.data = data
         out.grad = None
         out.requires_grad = False
         out._backward = None
@@ -96,69 +89,3 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # -- elementwise -------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._lift(other)
-        out_data = self.data + other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __neg__(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    # -- reductions & shape ------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def reshape(self, *shape):
-        out_data = self.data.reshape(*shape)
-        src_shape = self.shape
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(src_shape))
-
-        return Tensor._make(out_data, (self,), backward)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -54,7 +55,11 @@ class RunConfig:
             (self.tie in ("ordinal", "best"), "tie must be 'ordinal' or 'best'"),
             (t.eval_space in ("full", "context"), "eval_space must be 'full' or 'context'"),
             (t.op == "adamw", f"op must be 'adamw', got {t.op!r}"),
+            (math.isfinite(t.alpha), f"alpha must be finite, got {t.alpha}"),
             (t.alpha >= 0, f"alpha must be >= 0, got {t.alpha}"),
+            (math.isfinite(t.lr) and t.lr > 0, f"lr must be finite and > 0, got {t.lr}"),
+            (math.isfinite(t.gamma) and t.gamma >= 0,
+             f"gamma must be finite and >= 0, got {t.gamma}"),
             (t.steps >= 2, f"steps must be >= 2, got {t.steps}"),
             (0 < t.beta1 <= t.betaT < 1,
              f"need 0 < beta1 <= betaT < 1, got {t.beta1}, {t.betaT}"),
@@ -215,8 +220,15 @@ def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None) -> Metri
     return report
 
 
+REPORT_FORMATS = ("json", "txt", "csv")
+
+
 def emit_report(report: MetricsReport, out_dir: str | Path,
-                formats: tuple[str, ...] = ("json", "txt", "csv")) -> list[Path]:
+                formats: tuple[str, ...] = REPORT_FORMATS) -> list[Path]:
+    for f in formats:
+        if f not in REPORT_FORMATS:
+            raise InvalidConfig(f"unknown report format {f!r}; "
+                                f"valid: {', '.join(REPORT_FORMATS)}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -1,13 +1,17 @@
 """The denoiser as a composition of primitive tape ops: the bit-exactness oracle.
 
 Before the network became one tape node, its layers were built from the
-primitive `Tensor` ops below, one node per op.  The library's forward and
-backward must reproduce these compositions bit for bit, so they are kept
-here verbatim.  The primitives that the library no longer uses (`pow`,
-`sigmoid`, `matmul`, `swapaxes`, indexing, `softmax`, `silu`, channel
-padding, concatenation, and `softplus` for the MLP's loss) live here as
-functions, next to the convolution and upsampling nodes, which were
-single nodes already.
+primitive ops below, one node per op.  The library's forward and backward
+must reproduce these compositions bit for bit, so they are kept here
+verbatim.  The library's `Tensor` keeps only the tape itself; the
+arithmetic the layers and the diffusion loss were once written in
+(`+`, `-`, `*`, `sum`, `mean`, `reshape`) lives on this module's `Tensor`,
+a subclass whose operators also take a library-made Tensor on either side.
+`ops` gives a library-made Tensor those methods.  The other primitives that
+the library no longer uses (`pow`, `sigmoid`, `matmul`, `swapaxes`,
+indexing, `softmax`, `silu`, channel padding, concatenation, and `softplus`
+for the MLP's loss) live here as functions, next to the convolution and
+upsampling nodes, which were single nodes already.
 
 `node` is the other direction: it records a library layer's forward and
 `backward` as one tape node, so that tape-level checks (finite
@@ -18,10 +22,111 @@ from __future__ import annotations
 
 import numpy as np
 
-from faultlab.neural import Tensor
+from faultlab import neural
 from faultlab.neural.denoiser import NULL_CLASS
 from faultlab.neural.layers import sinusoidal_embedding
 from faultlab.neural.tensor import _unbroadcast
+
+
+class Tensor(neural.Tensor):
+    """The library's Tensor with the tape's arithmetic.  Its ops record
+    nodes of this class; an operand that is no Tensor is lifted to a leaf."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, data, parents: tuple, backward):
+        # A reduction, or an op on 0-d arrays, hands over a numpy scalar.
+        return super()._make(np.asarray(data, dtype=np.float64), parents, backward)
+
+    def __add__(self, other):
+        return _add(self, _lift(other))
+
+    def __radd__(self, other):
+        return _add(_lift(other), self)
+
+    def __neg__(self):
+        return _neg(self)
+
+    def __sub__(self, other):
+        return _add(self, _neg(_lift(other)))
+
+    def __rsub__(self, other):
+        return _add(_lift(other), _neg(self))
+
+    def __mul__(self, other):
+        return _mul(self, _lift(other))
+
+    def __rmul__(self, other):
+        return _mul(_lift(other), self)
+
+    def sum(self, axis=None, keepdims=False):
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+
+        def backward(g):
+            if not self.requires_grad:
+                return
+            if axis is None:
+                self._accumulate(np.broadcast_to(g, self.shape).copy())
+                return
+            if not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape).copy())
+
+        return Tensor._make(out_data, (self,), backward)
+
+    def mean(self, axis=None, keepdims=False):
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+    def reshape(self, *shape):
+        out_data = self.data.reshape(*shape)
+        src_shape = self.shape
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(g.reshape(src_shape))
+
+        return Tensor._make(out_data, (self,), backward)
+
+
+def _lift(x) -> neural.Tensor:
+    return x if isinstance(x, neural.Tensor) else Tensor(x)
+
+
+def ops(x: neural.Tensor) -> Tensor:
+    """`x` itself, given this module's arithmetic: the same node, so its
+    place on the tape and the gradient it collects do not change."""
+    x.__class__ = Tensor
+    return x
+
+
+def _add(a: neural.Tensor, b: neural.Tensor) -> Tensor:
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+
+    return Tensor._make(a.data + b.data, (a, b), backward)
+
+
+def _neg(a: neural.Tensor) -> Tensor:
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(-g)
+
+    return Tensor._make(-a.data, (a,), backward)
+
+
+def _mul(a: neural.Tensor, b: neural.Tensor) -> Tensor:
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
+
+    return Tensor._make(a.data * b.data, (a, b), backward)
 
 
 def node(layer, *inputs) -> Tensor:
@@ -29,8 +134,8 @@ def node(layer, *inputs) -> Tensor:
     parameters among its parents.  Inputs that are not Tensors (class
     indices) pass through; a layer hands back its input gradient as one
     array or as terms in the tape's order, one entry per Tensor input."""
-    out, cache = layer(*(x.data if isinstance(x, Tensor) else x for x in inputs))
-    tensors = tuple(x for x in inputs if isinstance(x, Tensor))
+    out, cache = layer(*(x.data if isinstance(x, neural.Tensor) else x for x in inputs))
+    tensors = tuple(x for x in inputs if isinstance(x, neural.Tensor))
 
     def backward(g):
         grads = layer.backward(g, cache)

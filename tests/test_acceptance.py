@@ -33,7 +33,6 @@ from faultlab.neural import (
     Embedding,
     GroupNorm,
     ResidualBlock,
-    Tensor,
 )
 from faultlab.pipeline import RunConfig, run_pipeline
 from faultlab.slicing import SliceCriterion, default_criterion, dynamic_slice, fault_context
@@ -41,7 +40,7 @@ from faultlab.spectra import SpectrumTally, build_spectra, rank, score, tally
 from conftest import GOLDEN_TRAIN_CONFIG, REFERENCE_PCA_ORDER
 from gradcheck import grad_check
 from randprog import gen_random_program, oracle_output_slices
-from tape_oracle import node
+from tape_oracle import Tensor, node
 
 
 def _verdict(tag: str, ok: bool, detail: str = ""):

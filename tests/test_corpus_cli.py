@@ -17,6 +17,7 @@ from faultlab.corpus import (
 )
 from faultlab.diffusion import TrainConfig
 from faultlab.errors import FaultlabError, InvalidConfig, TemplateError
+from faultlab.metrics import MetricsReport
 from faultlab.minilang import Mutation, execute
 from faultlab.pipeline import RunConfig, emit_report, run_pipeline
 
@@ -284,6 +285,13 @@ def test_version_dir_loads_back(tmp_path):
     (["--op", "sgd"], "op must be 'adamw', got 'sgd'"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
     (["--methods", ""], "method set must be non-empty"),
+    (["--alpha", "inf"], "alpha must be finite, got inf"),
+    (["--lr", "nan"], "lr must be finite and > 0, got nan"),
+    (["--lr", "inf"], "lr must be finite and > 0, got inf"),
+    (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
+    (["--lr", "0"], "lr must be finite and > 0, got 0.0"),
+    (["--gamma", "nan"], "gamma must be finite and >= 0, got nan"),
+    (["--gamma", "-3"], "gamma must be finite and >= 0, got -3.0"),
 ])
 def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, message):
     # the corpus does not exist: validation has to fire before it is read
@@ -312,6 +320,7 @@ def test_cli_corpus_gen_rejects_negative_settings(tmp_path, capsys, flags, messa
     ("eval_space = everywhere", "eval_space must be 'full' or 'context'"),
     ("tie = worst", "tie must be 'ordinal' or 'best'"),
     ("op = sgd", "op must be 'adamw', got 'sgd'"),
+    ("alpha = 1e400", "alpha must be finite, got inf"),
 ])
 def test_config_file_knobs_are_validated(tmp_path, capsys, line, message):
     cfg_file = tmp_path / "run.cfg"
@@ -340,6 +349,16 @@ def test_cli_report_bad_input_exits_2(tmp_path, capsys, content):
     assert main(["report", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("io error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_report_rejects_unknown_format(tmp_path, capsys):
+    src = tmp_path / "report.json"
+    src.write_text(json.dumps(MetricsReport().to_dict()))
+    out = tmp_path / "o"
+    assert main(["report", "--input", str(src), "--out", str(out), "--formats", "jsn"]) == 2
+    assert capsys.readouterr().err == ("error: InvalidConfig: unknown report format "
+                                       "'jsn'; valid: json, txt, csv\n")
+    assert not out.exists()
 
 
 def test_cli_run_reports_too_deep_expression_as_parse_error(tmp_path, capsys):

@@ -285,6 +285,7 @@ def test_dpm_timesteps_grid():
     assert all(a > b for a, b in zip(ts, ts[1:]))
     assert len(ts) <= 25
     assert dpm_timesteps(sched, 1000) == list(range(1000, 0, -1))
+    assert dpm_timesteps(sched, 1) == [1000, 1]
 
 
 def test_dpm_zero_model_is_pure_rescaling():

@@ -11,9 +11,9 @@ from faultlab.dlfl import (
     virtual_suspiciousness,
 )
 from faultlab.errors import SingleClassDataset
-from faultlab.neural import AdamW, Tensor
+from faultlab.neural import AdamW
 from faultlab.spectra import CoverageDataset, rank
-from tape_oracle import mlp_logits, softplus
+from tape_oracle import Tensor, mlp_logits, softplus
 
 
 def final_loss(model: MlpFlModel, dataset: CoverageDataset) -> float:

@@ -10,7 +10,14 @@ as one node.
 import numpy as np
 import pytest
 
-from faultlab.diffusion import TrainConfig, make_schedule, train_step
+from faultlab.diffusion import (
+    P_UNCOND,
+    TrainConfig,
+    apply_label_dropout,
+    make_schedule,
+    q_sample,
+    train_step,
+)
 from faultlab.neural import (
     AdamW,
     Attention,
@@ -18,11 +25,10 @@ from faultlab.neural import (
     Embedding,
     GroupNorm,
     ResidualBlock,
-    Tensor,
 )
 from gradcheck import grad_check
 import tape_oracle as oracle
-from tape_oracle import node
+from tape_oracle import Tensor, node, ops
 
 SHAPES = [(4, 2), (8, 2), (32, 8)]     # (base, groups)
 
@@ -130,6 +136,38 @@ def test_trained_parameters_equal_tape_after_60_steps():
             train_step(net, opt, rows, labels, TrainConfig(), sched, rng)
         flats.append(opt.flat)
     assert np.array_equal(flats[0], flats[1])
+
+
+def _tape_train_step(model, opt, batch_x, labels, cfg, sched, rng):
+    """`train_step` as it was when the loss was built from tape ops, one node
+    per op, on the library network's node."""
+    n, width = batch_x.shape
+    t = rng.integers(1, sched.T + 1, size=n)
+    eps = rng.standard_normal((n, width))
+    cond = apply_label_dropout(labels, P_UNCOND, rng)
+    x_t = q_sample(batch_x, t, eps, sched)
+    diff = ops(model(x_t, t, cond)).reshape(n, width) - Tensor(eps)
+    loss = (diff * diff).sum(axis=1).mean()
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return float(loss.data)
+
+
+def test_written_out_loss_equals_tape_loss_after_60_steps():
+    rows = np.sign(np.random.default_rng(9).normal(size=(42, 4)))
+    labels = np.arange(42) % 2
+    sched = make_schedule(1000, 1e-4, 0.02)
+    flats, losses = [], []
+    for step in (train_step, _tape_train_step):
+        model = Denoiser(seed=3)
+        opt = AdamW(model.named_params(), lr=3e-3)
+        rng = np.random.default_rng(0)
+        losses.append([step(model, opt, rows, labels, TrainConfig(), sched, rng)
+                       for _ in range(60)])
+        flats.append(opt.flat)
+    assert np.array_equal(flats[0], flats[1])
+    assert losses[0] == losses[1]
 
 
 def test_denoiser_glue_nodes_pass_finite_difference_check():

@@ -11,14 +11,13 @@ from faultlab.neural import (
     Embedding,
     GroupNorm,
     ResidualBlock,
-    Tensor,
     avg_pool1d,
     sinusoidal_embedding,
 )
 from faultlab.neural.layers import Module
 from gradcheck import grad_check
 import tape_oracle as oracle
-from tape_oracle import getitem, node, softmax
+from tape_oracle import Tensor, getitem, node, softmax
 
 
 def _check(module_params, loss_fn, tol=1e-4, **kw):
