@@ -24,10 +24,8 @@ from .minilang import (
     execute,
     load_suite,
     parse,
-    run_reference,
     save_suite,
     seed_fault,
-    ReferenceRunError,
 )
 
 # ---------------------------------------------------------------------------
@@ -96,7 +94,7 @@ class Version:
 
 def golden_template(_rng=None) -> TemplateInstance:
     program = parse(GOLDEN_SOURCE)
-    suite = [TestCase(inputs=d, oracle=run_reference(program, d)) for d in GOLDEN_INPUTS]
+    suite = [TestCase(inputs=d, oracle=execute(program, d, {}).outputs) for d in GOLDEN_INPUTS]
     return TemplateInstance(
         name="illustrative",
         source=GOLDEN_SOURCE,
@@ -379,7 +377,10 @@ def build_suite(instance: TemplateInstance, correct: Program, faulty: Program,
     """Draw an imbalanced suite: n_fail failing + n_pass passing tests.
 
     `correct` is the instance's parsed source and `faulty` that program
-    with the instance's mutation seeded.
+    with the instance's mutation seeded.  A draw on which the correct
+    program faults is skipped.  The faulty program runs the same code
+    until the mutated statement runs, so it runs only on a draw whose
+    reference run reaches that statement; any other draw passes.
     """
     if instance.fixed_suite is not None:
         return list(instance.fixed_suite)
@@ -395,16 +396,16 @@ def build_suite(instance: TemplateInstance, correct: Program, faulty: Program,
         if key in seen:
             continue
         seen.add(key)
-        try:
-            oracle = run_reference(correct, inputs)
-        except ReferenceRunError:
+        ref = execute(correct, inputs, {})
+        if ref.fault is not None:
             continue
-        rec = execute(faulty, inputs, oracle)
-        case = TestCase(inputs=inputs, oracle=oracle)
-        if rec.failing and len(fails) < n_fail:
+        case = TestCase(inputs=inputs, oracle=ref.outputs)
+        failing = (bool(ref.coverage_row[instance.mutation.target - 1])
+                   and execute(faulty, inputs, ref.outputs).failing)
+        if failing and len(fails) < n_fail:
             fails.append(case)
             ordered.append(("f", case))
-        elif not rec.failing and len(passes) < n_pass:
+        elif not failing and len(passes) < n_pass:
             passes.append(case)
             ordered.append(("p", case))
     if len(fails) < n_fail or len(passes) < n_pass:

@@ -91,6 +91,7 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
 
 P_UNCOND = 0.1                   # probability of training on the null label
 PATIENCE = 50                    # stale epochs that end training on a plateau
+MAX_STEPS = 100_000              # most diffusion steps a run accepts (the paper: 1,000)
 
 
 @dataclass
@@ -148,14 +149,11 @@ def train_step(model: Denoiser, opt: AdamW, batch_x: np.ndarray,
     x_t = q_sample(batch_x, t, eps, sched)
     pred = model(x_t, t, cond)
     # The loss and its gradient in the order the autodiff tape took them:
-    # d loss / d diff reaches `diff` once per factor of the square, and the
-    # two terms are summed from zero.
+    # d loss / d diff reaches `diff` once per factor of the square.
     diff = pred.data.reshape(n, width) - eps
     loss = (diff * diff).sum(axis=1).sum() * (1.0 / n)
     term = (1.0 / n) * diff
-    grad = np.zeros((n, width))
-    grad += term
-    grad += term
+    grad = term + term
     opt.zero_grad()
     pred.backward(grad.reshape(pred.shape))
     opt.step()

@@ -4,14 +4,14 @@ After training, statement suspiciousness is the model's output on the
 one-hot virtual test that covers exactly that statement.
 
 Training minimizes the mean binary cross-entropy with logits,
-mean(softplus(z) - y*z), by full-batch AdamW.  Each step writes the
-forward and backward pass of the three sigmoid layers out in closed form
-with plain numpy instead of recording an autodiff tape, and writes the
-six gradients straight into the optimizer's flat gradient buffer.  It uses
-the same array operations in the same order as the tape would, so the
-trained weights are bit-identical to tape-driven training, at a fraction
-of the interpreter cost.  Scoring runs the `Dense` layers on plain arrays
-and builds no tape either.
+mean(softplus(z) - y*z), by full-batch AdamW.  The forward pass of the
+three sigmoid layers is written once, `MlpFlModel.forward`, and serves
+both a training step and scoring.  Each step writes the backward pass out
+in closed form with plain numpy and writes the six gradients straight
+into the optimizer's flat gradient buffer.  It uses the same array
+operations in the same order as an autodiff tape would, so the trained
+weights are bit-identical to tape-driven training, at a fraction of the
+interpreter cost.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SingleClassDataset
 from .neural import AdamW, Dense
-from .neural.layers import Module, _sigmoid
+from .neural.layers import Module
 from .spectra import CoverageDataset
 
 
@@ -35,23 +35,6 @@ WEIGHT_DECAY = 0.0              # AdamW decoupled weight decay
 class MlpFlConfig:
     steps: int = 2000
     seed: int = 0
-
-
-class MlpFlModel(Module):
-    def __init__(self, rng, width: int, hidden: int = HIDDEN):
-        self.width = width
-        self.fc1 = Dense(rng, width, hidden)
-        self.fc2 = Dense(rng, hidden, hidden)
-        self.fc3 = Dense(rng, hidden, 1)
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        h, _ = self.fc1(x)
-        h, _ = self.fc2(_sigmoid(h))
-        z, _ = self.fc3(_sigmoid(h))
-        return z
-
-    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.logits(np.asarray(rows, dtype=np.float64))).reshape(-1)
 
 
 def _one_plus_exp_neg_(a: np.ndarray) -> np.ndarray:
@@ -67,6 +50,26 @@ def _sigmoid_(a: np.ndarray) -> np.ndarray:
     return np.divide(1.0, _one_plus_exp_neg_(a), out=a)
 
 
+class MlpFlModel(Module):
+    def __init__(self, rng, width: int, hidden: int = HIDDEN):
+        self.width = width
+        self.fc1 = Dense(rng, width, hidden)
+        self.fc2 = Dense(rng, hidden, hidden)
+        self.fc3 = Dense(rng, hidden, 1)
+
+    def forward(self, x: np.ndarray):
+        """(h1, h2, z): both hidden layers' activations and the logits."""
+        h1 = _sigmoid_(self.fc1(x)[0])
+        h2 = _sigmoid_(self.fc2(h1)[0])
+        return h1, h2, self.fc3(h2)[0]
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)[2]
+
+    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
+        return _sigmoid_(self.logits(np.asarray(rows, dtype=np.float64))).reshape(-1)
+
+
 def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> MlpFlModel:
     """Fit failure probability by binary cross-entropy over coverage rows."""
     cfg = cfg or MlpFlConfig()
@@ -80,15 +83,14 @@ def train_mlpfl(dataset: CoverageDataset, cfg: MlpFlConfig | None = None) -> Mlp
     y = y.reshape(-1, 1)
     # d(mean)/d(row loss), as the tape's backward of `.mean()` produces it
     g = np.broadcast_to(1.0 * (1.0 / y.size), y.shape).copy()
-    # fc1.w, fc1.b, ..., fc3.b: views into the optimizer's parameter buffer,
-    # updated in place, and into its gradient buffer, written in place.
-    w1, b1, w2, b2, w3, b3 = (p.data for p in opt.params.values())
+    # The weights are views into the optimizer's parameter buffer, updated
+    # in place, and the gradients of fc1.w, fc1.b, ..., fc3.b views into
+    # its gradient buffer, written in place.
+    w2, w3 = model.fc2.w.data, model.fc3.w.data
     gw1, gb1, gw2, gb2, gw3, gb3 = opt.grad_views().values()
     gy = (-g) * y          # the y*z node's share of d/dz, the same every step
     for _ in range(cfg.steps):
-        h1 = _sigmoid_(x @ w1 + b1)
-        h2 = _sigmoid_(h1 @ w2 + b2)
-        z = h2 @ w3 + b3
+        h1, h2, z = model.forward(x)
         # d/dz of softplus(z) - y*z: one term from each of the tape's nodes
         g3 = g / _one_plus_exp_neg_(z)
         g3 += gy

@@ -576,18 +576,6 @@ def execute(
     )
 
 
-class ReferenceRunError(Exception):
-    """The reference (correct) program itself faulted on an input."""
-
-
-def run_reference(program: Program, inputs: dict[str, int], **kw) -> dict[str, int]:
-    """Outputs of a (correct) program on one input; used to build oracles."""
-    rec = execute(program, inputs, oracle={}, **kw)
-    if rec.fault is not None:
-        raise ReferenceRunError(rec.fault)
-    return rec.outputs
-
-
 # ---------------------------------------------------------------------------
 # Mutations
 

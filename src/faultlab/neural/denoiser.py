@@ -12,10 +12,13 @@ embedding; index 2 is the dedicated unconditional ("null") token used by
 classifier-free training and guidance.
 
 The network is written once.  `forward` runs it on plain arrays and
-`backward` replays its layers in reverse from the output gradient.
-`__call__` records that pair as a single tape node, the only node of a
-training step's tape; `predict` is `forward` without layer caches and
-builds no tape.
+`backward` replays its layers in reverse from the output gradient, as
+plain backprop.  `__call__` records that pair as a single node, the only
+node of a training step; `predict` is `forward` without layer caches and
+records nothing.  A gradient with several terms is summed where they
+meet, in the order the autodiff tape of one node per primitive op summed
+them (`tests/tape_oracle.py` keeps that tape): every non-zero element
+has the tape's bits, and only an exactly-zero one may differ in sign.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .layers import (
     Module,
     ResidualBlock,
     _sigmoid,
-    _silu_terms,
+    _silu_grad,
     avg_pool1d,
     sinusoidal_embedding,
 )
@@ -42,15 +45,6 @@ PASS_CLASS = 0
 FAIL_CLASS = 1
 NULL_CLASS = 2
 NUM_CLASSES = 3
-
-
-def _tape_sum(*terms: np.ndarray) -> np.ndarray:
-    """Gradient terms summed in order from a zero array, as `Tensor._accumulate`
-    sums the terms that reach one tensor."""
-    total = np.zeros(terms[0].shape)
-    for term in terms:
-        total += term
-    return total
 
 
 class Denoiser(Module):
@@ -70,11 +64,9 @@ class Denoiser(Module):
         self.attn_up = Attention(rng, base, groups)                       # conv 12-13
         self.out_norm = GroupNorm(base, groups)                           # norm 10
         self.out_proj = Dense(rng, base, 1, zero_init=True)
-        # Training replaces `p.data`, never the Tensor `p`.
-        self._params = tuple(self.named_params().values())
 
     def __call__(self, x_t, t, c) -> Tensor:
-        """Predict the noise in x_t as one tape node, (B, 1, K).
+        """Predict the noise in x_t as one recorded node, (B, 1, K).
 
         x_t: Tensor or array, (B, K) or (B, 1, K); width K even and >= 4.
         t: array of timesteps (integer or fractional), shape (B,) or scalar.
@@ -90,7 +82,7 @@ class Denoiser(Module):
             if need_dx:
                 x_t._accumulate(dx.reshape(x_t.shape))
 
-        return Tensor._make(out, inputs + self._params, backward)
+        return Tensor(out, requires_grad=True, backward=backward, parents=inputs)
 
     def predict(self, x_t: np.ndarray, t, c) -> np.ndarray:
         """(B, K) -> (B, K) noise prediction, keeping no layer cache."""
@@ -135,28 +127,22 @@ class Denoiser(Module):
     def backward(self, g: np.ndarray, caches: list, need_dx: bool = False):
         """Replay `forward`'s layers in reverse from the output gradient g,
         adding every parameter's gradient; returns x_t's gradient, (B, 1, K),
-        when need_dx.  A gradient with several terms is summed from zero in
-        the order the tape of one node per layer summed it: `emb` gets
-        res_up's two terms, then res_mid's, then res_down's; `h1` the
-        concatenation's slice, then the pooling's share."""
+        when need_dx.  `emb` collects res_up's terms, then res_mid's, then
+        res_down's; `h1` the concatenation's slice, then the pooling's share."""
         (emb_c, stem_c, res_down_c, attn_down_c, res_mid_c, attn_mid_c,
          res_up_c, attn_up_c, out_norm_c, out_proj_c, (h, s)) = caches
         # each swapaxes hands on a C-ordered copy, as the tape stored it
         g_a_t = self.out_proj.backward(np.swapaxes(g, 1, 2).copy(), out_proj_c)
-        g_h = _tape_sum(*_silu_terms(np.swapaxes(g_a_t, 1, 2).copy(), h, s))
-        g_h = self.out_norm.backward(g_h, out_norm_c)
-        g_h = _tape_sum(*self.attn_up.backward(g_h, attn_up_c))
-        g_cat, emb_up = self.res_up.backward(g_h, res_up_c)
-        g_cat = _tape_sum(*g_cat)
+        g_h = _silu_grad(np.swapaxes(g_a_t, 1, 2).copy(), h, s)
+        g_h = self.attn_up.backward(self.out_norm.backward(g_h, out_norm_c), attn_up_c)
+        g_cat, g_emb = self.res_up.backward(g_h, res_up_c)
         # the upsampling's backward sums each pair of positions
         batch, channels, width = g_cat.shape
         g_h2 = g_cat[:, self.base:].reshape(batch, channels - self.base, width // 2, 2)
-        g_h2 = _tape_sum(*self.attn_mid.backward(g_h2.sum(axis=3), attn_mid_c))
-        g_h2, emb_mid = self.res_mid.backward(g_h2, res_mid_c)
-        g_pool = np.repeat(_tape_sum(*g_h2) * (1.0 / 2), 2, axis=2)
-        g_h1 = _tape_sum(g_cat[:, :self.base], g_pool)
-        g_h1 = _tape_sum(*self.attn_down.backward(g_h1, attn_down_c))
-        g_h1, emb_down = self.res_down.backward(g_h1, res_down_c)
-        dx = self.stem.backward(_tape_sum(*g_h1), stem_c, need_dx)
-        self.class_embed.backward(_tape_sum(*emb_up, *emb_mid, *emb_down), emb_c)
-        return dx
+        g_h2 = self.attn_mid.backward(g_h2.sum(axis=3), attn_mid_c)
+        g_h2, g_emb = self.res_mid.backward(g_h2, res_mid_c, g_emb)
+        g_h1 = g_cat[:, :self.base] + np.repeat(g_h2 * (1.0 / 2), 2, axis=2)
+        g_h1 = self.attn_down.backward(g_h1, attn_down_c)
+        g_h1, g_emb = self.res_down.backward(g_h1, res_down_c, g_emb)
+        self.class_embed.backward(g_emb, emb_c)
+        return self.stem.backward(g_h1, stem_c, need_dx)

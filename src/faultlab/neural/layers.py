@@ -7,14 +7,16 @@ numpy Generator, so a seed pins the whole network.  Activations live in
 Each layer has one forward, `__call__`, which takes plain arrays and
 returns its output and a cache, and a `backward` that takes the output
 gradient and that cache, adds its parameters' gradients and returns the
-gradient of its input.  No layer touches the autodiff tape: the denoiser
-records its whole forward/backward pair as one node (see `denoiser`).
-Both passes use the numpy operations, operand layouts and summation order
-of the primitive tape ops that the layers were once composed of, so
-results are the same bit for bit.  Elementwise steps may be regrouped
-freely (an elementwise op gives the same bits under any layout or
-broadcast form); every reduction and matrix product keeps its operand
-layout, axis and order.
+gradient of its input, one array per input.  The denoiser records its
+whole forward/backward pair as one node (see `denoiser`).  Both passes
+use the numpy operations, operand layouts and summation order of the
+primitive tape ops that the layers were once composed of (kept in
+`tests/tape_oracle.py`).  Elementwise steps may be regrouped freely (an
+elementwise op gives the same bits under any layout or broadcast form);
+every reduction and matrix product keeps its operand layout, axis and
+order.  A gradient with several terms is summed where they meet, in the
+tape's order, with no zero array to start from: every non-zero element
+keeps the tape's bits, and only an exactly-zero one may differ in sign.
 """
 
 from __future__ import annotations
@@ -34,15 +36,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _silu_terms(g: np.ndarray, x: np.ndarray, s: np.ndarray):
-    """The two gradient terms silu(x) = x * sigmoid(x) hands x, in the
-    tape's order: the product's, then the sigmoid's."""
-    return g * s, g * x * s * (1.0 - s)
-
-
-def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    by_product, by_sigmoid = _silu_terms(g, x, s)
-    return by_product + by_sigmoid
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray, into=None) -> np.ndarray:
+    """x's gradient through silu(x) = x * sigmoid(x), s = sigmoid(x), added
+    to `into` when given.  The tape's order: the product's term, then the
+    sigmoid's."""
+    by_product = g * s if into is None else into + g * s
+    return by_product + g * x * s * (1.0 - s)
 
 
 class Module:
@@ -194,9 +193,8 @@ class Attention(Module):
         out, proj_cache = self.proj(v @ attn_t)               # (B, C, W)
         return x + out, (norm_cache, qkv_cache, q_t, k, v, attn, attn_t, proj_cache)
 
-    def backward(self, g: np.ndarray, cache):
-        """x's two gradient terms in the tape's order: the residual's, then
-        the normalization's."""
+    def backward(self, g: np.ndarray, cache) -> np.ndarray:
+        """x's gradient: the residual's term plus the normalization's."""
         norm_cache, qkv_cache, q_t, k, v, attn, attn_t, proj_cache = cache
         c = self.channels
         g_out = self.proj.backward(g, proj_cache)
@@ -210,7 +208,7 @@ class Attention(Module):
         # q, k and v are disjoint slices of one tensor
         g_qkv = np.concatenate([np.swapaxes(g_q_t, 1, 2), g_k, g_v], axis=1)
         g_h = self.qkv.backward(g_qkv, qkv_cache)
-        return g, self.norm.backward(g_h, norm_cache)
+        return g + self.norm.backward(g_h, norm_cache)
 
 
 class Embedding(Module):
@@ -263,26 +261,27 @@ class ResidualBlock(Module):
             shortcut[:, :self.c_in, :] = x
         else:
             shortcut = x[:, :self.c_out, :]
-        cache = (x.shape, n1, s1, n1_cache, c1_cache, emb, es, ea, n2, s2, n2_cache, c2_cache)
+        cache = (n1, s1, n1_cache, c1_cache, emb, es, ea, n2, s2, n2_cache, c2_cache)
         return h + shortcut, cache
 
-    def backward(self, g: np.ndarray, cache):
-        """(x's terms, emb's terms), each in the tape's order: x gets the
-        shortcut's then the first norm's; emb its silu's two."""
-        x_shape, n1, s1, n1_cache, c1_cache, emb, es, ea, n2, s2, n2_cache, c2_cache = cache
-        if self.c_in == self.c_out:
-            g_short = g
-        elif self.c_in < self.c_out:
-            g_short = g[:, :self.c_in, :]
-        else:
-            g_short = np.zeros(x_shape)
-            g_short[:, :self.c_out, :] = g
+    def backward(self, g: np.ndarray, cache, g_emb: np.ndarray | None = None):
+        """(x's gradient, emb's gradient).  x's is the shortcut's term plus
+        the first norm's; emb's silu adds its two terms to `g_emb`, the
+        gradient emb has collected so far, when given."""
+        n1, s1, n1_cache, c1_cache, emb, es, ea, n2, s2, n2_cache, c2_cache = cache
         g_h = self.norm2.backward(_silu_grad(self.conv2.backward(g, c2_cache), n2, s2),
                                   n2_cache)
         g_shift = _unbroadcast(g_h, (g_h.shape[0], self.c_out, 1)).reshape(g_h.shape[:2])
-        emb_terms = _silu_terms(self.emb_proj.backward(g_shift, ea), emb, es)
-        g_n1 = _silu_grad(self.conv1.backward(g_h, c1_cache), n1, s1)
-        return (g_short, self.norm1.backward(g_n1, n1_cache)), emb_terms
+        g_emb = _silu_grad(self.emb_proj.backward(g_shift, ea), emb, es, into=g_emb)
+        g_x = self.norm1.backward(_silu_grad(self.conv1.backward(g_h, c1_cache), n1, s1),
+                                  n1_cache)
+        # The shortcut's term, added to the norm's (a sum of two is the same
+        # either way round): the first c_in channels of g, or g on the first
+        # c_out channels, where the shortcut's term elsewhere is zero.
+        if self.c_in > self.c_out:
+            g_x[:, :self.c_out, :] += g
+            return g_x, g_emb
+        return g[:, :self.c_in, :] + g_x, g_emb
 
 
 def avg_pool1d(x: np.ndarray, factor: int = 2) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from . import augment as aug_mod
 from .context import contribution_select, context_dump, fuse
 from .corpus import Version, load_version, read_manifest
-from .diffusion import TrainConfig, train
+from .diffusion import MAX_STEPS, TrainConfig, train
 from .dlfl import MlpFlConfig, train_mlpfl, virtual_suspiciousness
 from .errors import FaultlabError, InvalidConfig, IoError
 from .metrics import MetricsReport, VersionResult, render_table, rimp_csv, summarize
@@ -61,6 +61,7 @@ class RunConfig:
             (math.isfinite(t.gamma) and t.gamma >= 0,
              f"gamma must be finite and >= 0, got {t.gamma}"),
             (t.steps >= 2, f"steps must be >= 2, got {t.steps}"),
+            (t.steps <= MAX_STEPS, f"steps must be <= {MAX_STEPS}, got {t.steps}"),
             (0 < t.beta1 <= t.betaT < 1,
              f"need 0 < beta1 <= betaT < 1, got {t.beta1}, {t.betaT}"),
             (t.epochs >= 1, f"epochs must be >= 1, got {t.epochs}"),

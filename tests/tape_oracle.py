@@ -1,17 +1,22 @@
 """The denoiser as a composition of primitive tape ops: the bit-exactness oracle.
 
-Before the network became one tape node, its layers were built from the
-primitive ops below, one node per op.  The library's forward and backward
-must reproduce these compositions bit for bit, so they are kept here
-verbatim.  The library's `Tensor` keeps only the tape itself; the
-arithmetic the layers and the diffusion loss were once written in
-(`+`, `-`, `*`, `sum`, `mean`, `reshape`) lives on this module's `Tensor`,
-a subclass whose operators also take a library-made Tensor on either side.
-`ops` gives a library-made Tensor those methods.  The other primitives that
-the library no longer uses (`pow`, `sigmoid`, `matmul`, `swapaxes`,
-indexing, `softmax`, `silu`, channel padding, concatenation, and `softplus`
-for the MLP's loss) live here as functions, next to the convolution and
-upsampling nodes, which were single nodes already.
+Before the network became one node, its layers were built from the
+primitive ops below, one node per op, on a reverse-mode autodiff tape.
+The library's forward and backward must reproduce these compositions:
+every non-zero value bit for bit, while an exactly-zero gradient element
+may differ in sign.  So they are kept here verbatim, and so is the tape
+itself.  The library's `Tensor` is only a parameter or the one node a
+training step records, and its `backward` runs that node alone; this
+module's `Tensor`, a subclass, records nodes (`_make`) and walks the
+graph of them in reverse topological order (`backward`).  It also
+carries the arithmetic the layers and the diffusion loss were once
+written in (`+`, `-`, `*`, `sum`, `mean`, `reshape`), whose operators
+take a library-made Tensor on either side.  `ops` gives a library-made
+Tensor those methods.  The other primitives that the library does not use
+(`pow`, `sigmoid`, `matmul`, `swapaxes`, indexing, `softmax`, `silu`,
+channel padding, concatenation, and `softplus` for the MLP's loss) live
+here as functions, next to the convolution and upsampling nodes, which
+were single nodes already.
 
 `node` is the other direction: it records a library layer's forward and
 `backward` as one tape node, so that tape-level checks (finite
@@ -29,15 +34,51 @@ from faultlab.neural.tensor import _unbroadcast
 
 
 class Tensor(neural.Tensor):
-    """The library's Tensor with the tape's arithmetic.  Its ops record
-    nodes of this class; an operand that is no Tensor is lifted to a leaf."""
+    """The library's Tensor with the tape: its ops record nodes of this
+    class, and `backward` walks them.  An operand that is no Tensor is
+    lifted to a leaf."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, data, parents: tuple, backward):
-        # A reduction, or an op on 0-d arrays, hands over a numpy scalar.
-        return super()._make(np.asarray(data, dtype=np.float64), parents, backward)
+        """A node over `parents`, recorded only when one of them requires a
+        gradient.  A reduction, or an op on 0-d arrays, hands over a numpy
+        scalar as `data`."""
+        if any(p.requires_grad for p in parents):
+            return cls(data, requires_grad=True, backward=backward, parents=parents)
+        return cls(data)
+
+    def backward(self, grad=None) -> None:
+        """Run every recorded node between this one and the leaves, each
+        after all of its consumers."""
+        if grad is None:
+            grad = np.ones_like(self.data)
+        topo: list[neural.Tensor] = []
+        seen: set[int] = set()
+
+        def visit(node: neural.Tensor):
+            stack = [(node, iter(node._parents))]
+            seen.add(id(node))
+            while stack:
+                n, it = stack[-1]
+                advanced = False
+                for p in it:
+                    # Leaves have no backward, so they stay out of the order.
+                    if p._backward is not None and id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append((p, iter(p._parents)))
+                        advanced = True
+                        break
+                if not advanced:
+                    topo.append(n)
+                    stack.pop()
+
+        visit(self)
+        self._accumulate(np.asarray(grad, dtype=np.float64))
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
 
     def __add__(self, other):
         return _add(self, _lift(other))
@@ -132,17 +173,16 @@ def _mul(a: neural.Tensor, b: neural.Tensor) -> Tensor:
 def node(layer, *inputs) -> Tensor:
     """`layer(...)` plus `layer.backward` as one tape node, the layer's
     parameters among its parents.  Inputs that are not Tensors (class
-    indices) pass through; a layer hands back its input gradient as one
-    array or as terms in the tape's order, one entry per Tensor input."""
+    indices) pass through; a layer hands back one gradient per Tensor
+    input, as one array when there is one input."""
     out, cache = layer(*(x.data if isinstance(x, neural.Tensor) else x for x in inputs))
     tensors = tuple(x for x in inputs if isinstance(x, neural.Tensor))
 
     def backward(g):
         grads = layer.backward(g, cache)
-        for x, terms in zip(tensors, grads if len(tensors) > 1 else (grads,)):
+        for x, grad in zip(tensors, grads if len(tensors) > 1 else (grads,)):
             if x.requires_grad:
-                for term in (terms,) if isinstance(terms, np.ndarray) else terms:
-                    x._accumulate(term)
+                x._accumulate(grad)
 
     return Tensor._make(out, tensors + tuple(layer.named_params().values()), backward)
 

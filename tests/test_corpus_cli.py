@@ -292,6 +292,8 @@ def test_version_dir_loads_back(tmp_path):
     (["--lr", "0"], "lr must be finite and > 0, got 0.0"),
     (["--gamma", "nan"], "gamma must be finite and >= 0, got nan"),
     (["--gamma", "-3"], "gamma must be finite and >= 0, got -3.0"),
+    (["--steps", "100001"], "steps must be <= 100000, got 100001"),
+    (["--steps", "1000000000000000"], "steps must be <= 100000, got 1000000000000000"),
 ])
 def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, message):
     # the corpus does not exist: validation has to fire before it is read

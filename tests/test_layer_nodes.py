@@ -136,6 +136,7 @@ def test_trained_parameters_equal_tape_after_60_steps():
             train_step(net, opt, rows, labels, TrainConfig(), sched, rng)
         flats.append(opt.flat)
     assert np.array_equal(flats[0], flats[1])
+    assert np.array_equal(np.signbit(flats[0]), np.signbit(flats[1]))
 
 
 def _tape_train_step(model, opt, batch_x, labels, cfg, sched, rng):
