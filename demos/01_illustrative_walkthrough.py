@@ -46,23 +46,25 @@ for r in failing:
     sl = dynamic_slice(r, crit)
     print(f"\n{r.test_id}: wrong output at S_{crit.output_stm} "
           f"({set(crit.output_vars)}), slice = {sorted(sl)}")
-semantic = fault_context([(r, default_criterion(r)) for r in failing])
-print(f"fault semantic context: {semantic.stm_sc}")
+stm_sc = fault_context([(r, default_criterion(r)) for r in failing])
+print(f"fault semantic context: {stm_sc}")
 
 # Statistical context and fusion.
 statistical = contribution_select(dataset.matrix)
 print(f"statistical ordering: {statistical.stm_pca} (m={statistical.m})")
-fused = fuse(semantic.stm_sc, statistical.stm_pca, alpha=1.0)
-print(f"fused context: {fused.stm_fusion} (width {fused.target_dim})")
+fused = fuse(stm_sc, statistical.stm_pca, alpha=1.0)
+print(f"fused context: {fused.stm_fusion} (width K = {len(fused.stm_fusion)}, "
+      f"K^f = {fused.k_f})")
 
 # Train the conditional generator on the fused columns and rebalance.
 cfg = TrainConfig(epochs=2000)
-rows = dataset.matrix[:, [s - 1 for s in fused.stm_fusion]]
+cols = [s - 1 for s in fused.stm_fusion]
+rows = dataset.matrix[:, cols]
 bundle = train(rows, dataset.errors, cfg, rng=np.random.default_rng(7))
 print(f"\ntrained for {len(bundle.losses)} epochs, "
       f"final loss {np.mean(bundle.losses[-50:]):.3f}")
 
-augmented = generate_until_balanced(bundle, dataset, fused, cfg,
+augmented = generate_until_balanced(bundle, dataset, cols, cfg,
                                     np.random.default_rng(1))
 print(f"generated {len(augmented.synthetic_rows)} synthetic failing rows:")
 for row in augmented.synthetic_rows:

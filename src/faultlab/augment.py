@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import FusedContext
 from .diffusion import DiffusionBundle, TrainConfig, dpm_solve
 from .errors import NoFailingTests, NonFinite
 from .neural import FAIL_CLASS
@@ -51,19 +50,18 @@ def _with_rows(dataset: CoverageDataset, rows: np.ndarray, prefix: str) -> Augme
 def generate_until_balanced(
     bundle: DiffusionBundle,
     dataset: CoverageDataset,
-    ctx: FusedContext,
+    cols: list[int],
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> AugmentedDataset:
     """Add diffusion-generated failing rows until the classes balance.
 
-    Generated rows live on the fused-context columns; all other columns of
-    a synthetic row are zero.  If the dataset is already balanced this is
-    a no-op.
+    Generated rows live on the fused-context columns `cols` (0-based, the
+    bundle's inputs in order); all other columns of a synthetic row are
+    zero.  If the dataset is already balanced this is a no-op.
     """
     if dataset.num_failing == 0:
         raise NoFailingTests("cannot augment a dataset with no failing tests")
-    cols = [s - 1 for s in ctx.stm_fusion]
     rows = np.zeros((max(dataset.num_passing - dataset.num_failing, 0),
                      dataset.num_statements), dtype=np.int8)
     filled = attempts = 0

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     DegenerateData,
     InsufficientContext,
+    InvalidRange,
     NoConvergence,
     NotSymmetric,
 )
@@ -50,10 +51,8 @@ class StatisticalContext:
 
 @dataclass
 class FusedContext:
-    stm_fusion: list[int]        # sorted ascending
-    alpha: float
-    k_f: int                     # fusion size alpha * |StmSC|
-    target_dim: int              # K
+    stm_fusion: list[int]        # sorted ascending; its length is the width K
+    k_f: int                     # fusion size round(alpha |StmSC|), at most |StmPCA|
 
 
 def _sweep_plan(k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -248,13 +247,15 @@ def fuse(
     StmSC, until the target width is reached.  The emitted index list is
     sorted ascending.  StmPCA is the full statistical order, so it holds
     every context statement; an order that lacks some, so that the walk
-    ends short of the width, raises InsufficientContext.
+    ends short of the width, raises InsufficientContext.  K^f is capped at
+    |StmPCA|: a longer prefix is the whole order, so the cap changes no
+    fusion, and a huge alpha cannot overflow the rounding.
     """
-    if alpha < 0:
-        raise ValueError("fusion ratio alpha must be non-negative")
+    if not alpha >= 0:
+        raise InvalidRange(f"fusion ratio alpha must be non-negative, got {alpha}")
     stm_sc = list(stm_sc)
     stm_pca = list(stm_pca)
-    k_f = int(round(alpha * len(stm_sc)))
+    k_f = int(round(min(len(stm_pca), alpha * len(stm_sc))))
     if target_dim is None:
         target_dim = default_target_dim(stm_sc, stm_pca, k_f)
 
@@ -266,21 +267,17 @@ def fuse(
         raise InsufficientContext(
             f"statistical order holds {len(fusion)} context statements; need {target_dim}")
 
-    return FusedContext(
-        stm_fusion=sorted(fusion),
-        alpha=alpha,
-        k_f=k_f,
-        target_dim=target_dim,
-    )
+    return FusedContext(stm_fusion=sorted(fusion), k_f=k_f)
 
 
-def context_dump(semantic, statistical: StatisticalContext, fused: FusedContext) -> str:
-    """JSON dump of the three context layers for a version."""
+def context_dump(stm_sc: list[int], statistical: StatisticalContext,
+                 fused: FusedContext, alpha: float) -> str:
+    """JSON dump of the three context layers for a version, fused with `alpha`."""
     return json.dumps({
-        "stm_sc": semantic.stm_sc,
+        "stm_sc": stm_sc,
         "stm_pca": statistical.stm_pca,
         "stm_fusion": fused.stm_fusion,
-        "alpha": fused.alpha,
+        "alpha": alpha,
         "m": statistical.m,
-        "k": fused.target_dim,
+        "k": len(fused.stm_fusion),
     })

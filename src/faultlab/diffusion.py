@@ -113,10 +113,9 @@ class TrainConfig:
 
 @dataclass
 class DiffusionBundle:
-    """Trained generator: schedule + denoiser + guidance configuration."""
+    """Trained generator: schedule + denoiser over `width` columns."""
     model: Denoiser
     sched: NoiseSchedule
-    gamma: float
     width: int
     losses: list[float] = field(default_factory=list)
 
@@ -136,7 +135,7 @@ def apply_label_dropout(labels: np.ndarray, p_uncond: float,
 
 
 def train_step(model: Denoiser, opt: AdamW, batch_x: np.ndarray,
-               labels: np.ndarray, cfg: TrainConfig, sched: NoiseSchedule,
+               labels: np.ndarray, sched: NoiseSchedule,
                rng: np.random.Generator) -> float:
     """One noise-prediction step; loss is mean over rows of ||eps - pred||^2."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
@@ -180,7 +179,7 @@ def train(rows01: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
     stale = 0
     window = 100
     for epoch in range(cfg.epochs):
-        losses.append(train_step(model, opt, x, labels, cfg, sched, rng))
+        losses.append(train_step(model, opt, x, labels, sched, rng))
         # Per-step losses are noisy (random t and noise draws), so the
         # plateau check tracks a trailing moving average.
         if epoch >= window:
@@ -192,8 +191,7 @@ def train(rows01: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
                 stale += 1
                 if stale >= PATIENCE:
                     break
-    return DiffusionBundle(model=model, sched=sched, gamma=cfg.gamma,
-                           width=width, losses=losses)
+    return DiffusionBundle(model=model, sched=sched, width=width, losses=losses)
 
 
 def guided_eps(model: Denoiser, x_t: np.ndarray, t, c, gamma: float) -> np.ndarray:
@@ -215,12 +213,10 @@ def guided_eps(model: Denoiser, x_t: np.ndarray, t, c, gamma: float) -> np.ndarr
 
 
 def ancestral_sample(bundle: DiffusionBundle, n_samples: int,
-                     rng: np.random.Generator, label: int = FAIL_CLASS,
-                     gamma: float | None = None, eta: float = 1.0) -> np.ndarray:
+                     rng: np.random.Generator, label: int = FAIL_CLASS, *,
+                     gamma: float, eta: float = 1.0) -> np.ndarray:
     """Full-length reverse chain from pure noise; (n_samples, width) output."""
     sched = bundle.sched
-    if gamma is None:
-        gamma = bundle.gamma
     x = rng.standard_normal((n_samples, bundle.width))
     labels = np.full(n_samples, label, dtype=np.intp)
     for t in range(sched.T, 0, -1):
@@ -260,7 +256,7 @@ def dpm_timesteps(sched: NoiseSchedule, steps: int) -> list[int]:
 
 
 def dpm_solve(bundle: DiffusionBundle, n_samples: int, rng: np.random.Generator,
-              label: int = FAIL_CLASS, gamma: float | None = None,
+              label: int = FAIL_CLASS, *, gamma: float,
               steps: int = 25, order: int = 2,
               x_init: np.ndarray | None = None) -> np.ndarray:
     """Deterministic fast sampler for the diffusion ODE in log-SNR time.
@@ -273,8 +269,6 @@ def dpm_solve(bundle: DiffusionBundle, n_samples: int, rng: np.random.Generator,
     if order not in (1, 2):
         raise InvalidOrder(f"order must be 1 or 2, got {order}")
     sched = bundle.sched
-    if gamma is None:
-        gamma = bundle.gamma
     if x_init is None:
         x = rng.standard_normal((n_samples, bundle.width))
     else:

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import MissingFaults, ZeroBaseline
+from .errors import InvalidRange, MissingFaults, ZeroBaseline
 from .spectra import RankedList
 
 
@@ -29,7 +29,7 @@ class VersionResult:
 def topk(results: list[VersionResult], k: int) -> int:
     """Number of versions whose best-ranked fault sits within the top k."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidRange(f"k must be >= 1, got {k}")
     return sum(1 for r in results if r.first_rank() <= k)
 
 

@@ -132,8 +132,10 @@ def process_version(version: Version, cfg: RunConfig) -> tuple[dict, set[int], s
 
     Returns the rankings, the fault statements and the context dump (None
     when no scenario needs the context).  In the context space the rankings
-    and the faults number the fused columns from 1, and the faults are
-    empty when the fault lies outside the fused context.
+    and the faults number the fused columns from 1.  A fault outside the
+    fused context cannot be ranked there, so such a version returns right
+    after its context, with no rankings and no faults, and stays out of
+    the aggregates.
     """
     stream = partial(_substream, cfg.seed, version.version_id)
     records = [
@@ -146,13 +148,15 @@ def process_version(version: Version, cfg: RunConfig) -> tuple[dict, set[int], s
     dump = None
     if "pcd" in cfg.scenarios or in_context:
         failing = [r for r in records if r.failing][:cfg.train.fail_cap]
-        semantic = fault_context([(r, default_criterion(r)) for r in failing])
+        stm_sc = fault_context([(r, default_criterion(r)) for r in failing])
         statistical = contribution_select(dataset.matrix)
-        fused = fuse(semantic.stm_sc, statistical.stm_pca, alpha=cfg.train.alpha)
-        dump = context_dump(semantic, statistical, fused)
+        fused = fuse(stm_sc, statistical.stm_pca, alpha=cfg.train.alpha)
+        dump = context_dump(stm_sc, statistical, fused, cfg.train.alpha)
         cols = [s - 1 for s in fused.stm_fusion]
         if in_context:
             faults = {i + 1 for i, s in enumerate(fused.stm_fusion) if s in faults}
+            if not faults:
+                return {}, faults, dump
 
     rankings = {}
     for scenario in cfg.scenarios:
@@ -162,13 +166,13 @@ def process_version(version: Version, cfg: RunConfig) -> tuple[dict, set[int], s
             bundle = train(dataset.matrix[:, cols], dataset.errors, cfg.train,
                            rng=stream("training"))
             scen_ds = aug_mod.generate_until_balanced(
-                bundle, dataset, fused, cfg.train, stream("sampling")).dataset
+                bundle, dataset, cols, cfg.train, stream("sampling")).dataset
         elif scenario == "undersample":
             scen_ds = aug_mod.undersample(dataset, stream("undersample")).dataset
         elif scenario == "resample":
             scen_ds = aug_mod.resample(dataset, stream("resample")).dataset
         else:
-            raise ValueError(scenario)
+            raise InvalidConfig(f"unknown scenario {scenario!r}")
         if in_context:
             scen_ds = CoverageDataset(scen_ds.matrix[:, cols], scen_ds.errors, scen_ds.test_ids)
         for method in cfg.methods:
@@ -203,12 +207,9 @@ def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None) -> Metri
             continue
         if dump is not None:
             context_dumps[version.version_id] = dump
-        # A fault outside the fused context cannot be ranked in the context
-        # space; such a version stays out of the aggregates.
-        if faults:
-            for key, ranked in rankings.items():
-                cells.setdefault(key, []).append(
-                    VersionResult(version.version_id, ranked, faults, tie=cfg.tie))
+        for key, ranked in rankings.items():
+            cells.setdefault(key, []).append(
+                VersionResult(version.version_id, ranked, faults, tie=cfg.tie))
 
     report = summarize(cells)
     report.errors = errors

@@ -22,11 +22,6 @@ class SliceCriterion:
     occurrence: int | None = None    # trace position; None = last occurrence
 
 
-@dataclass
-class FaultSemanticContext:
-    stm_sc: list[int]            # sorted, duplicate-free statement indices
-
-
 def default_criterion(record: ExecutionRecord) -> SliceCriterion:
     """Criterion for a failing record: its first wrong output statement.
 
@@ -84,13 +79,11 @@ def dynamic_slice(record: ExecutionRecord, criterion: SliceCriterion) -> set[int
     return {record.trace[occ] for occ in seen}
 
 
-def fault_context(
-    failing: list[tuple[ExecutionRecord, SliceCriterion]],
-) -> FaultSemanticContext:
-    """Union of the per-test slices."""
+def fault_context(failing: list[tuple[ExecutionRecord, SliceCriterion]]) -> list[int]:
+    """StmSC: the sorted union of the per-test slices."""
     if not failing:
         raise NoFailingTests("fault context needs at least one failing record")
     union: set[int] = set()
     for record, criterion in failing:
         union |= dynamic_slice(record, criterion)
-    return FaultSemanticContext(stm_sc=sorted(union))
+    return sorted(union)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySuite, NonFiniteScore
+from .errors import EmptySuite, InvalidConfig, NonFiniteScore, ShapeMismatch
 
 FORMULAS = ("dstar", "ochiai", "barinel", "gp02")
 
@@ -29,7 +29,7 @@ class CoverageDataset:
         self.matrix = np.asarray(self.matrix, dtype=np.int8)
         self.errors = np.asarray(self.errors, dtype=np.int8)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.errors.shape[0]:
-            raise ValueError("matrix and error vector dimensions disagree")
+            raise ShapeMismatch("matrix and error vector dimensions disagree")
         if not self.test_ids:
             self.test_ids = [f"t{i + 1}" for i in range(self.matrix.shape[0])]
 
@@ -72,7 +72,7 @@ class RankedList:
         if tie == "best":
             score = self.scores[stmt - 1]
             return int(np.sum(self.scores > score)) + 1
-        raise ValueError(f"unknown tie mode {tie!r}")
+        raise InvalidConfig(f"unknown tie mode {tie!r}")
 
 
 def build_spectra(records) -> CoverageDataset:
@@ -128,7 +128,7 @@ def score(formula: str, tallies: SpectrumTally) -> np.ndarray:
     elif formula == "gp02":
         s = 2.0 * (ef + np.sqrt(ap)) + np.sqrt(ep)
     else:
-        raise ValueError(f"unknown formula {formula!r}; pick one of {FORMULAS}")
+        raise InvalidConfig(f"unknown formula {formula!r}; pick one of {FORMULAS}")
     s[uncovered] = 0.0
     return s
 

@@ -43,13 +43,18 @@ def golden_semantic(golden_records):
 
 @pytest.fixture(scope="session")
 def golden_fused(golden_semantic):
-    return fuse(golden_semantic.stm_sc, REFERENCE_PCA_ORDER, alpha=1.0)
+    return fuse(golden_semantic, REFERENCE_PCA_ORDER, alpha=1.0)
 
 
 @pytest.fixture(scope="session")
-def golden_bundle(golden_dataset, golden_fused):
+def golden_cols(golden_fused):
+    """The fused context's 0-based coverage columns."""
+    return [s - 1 for s in golden_fused.stm_fusion]
+
+
+@pytest.fixture(scope="session")
+def golden_bundle(golden_dataset, golden_cols):
     """Diffusion generator trained on the illustrative fused context."""
-    cols = [s - 1 for s in golden_fused.stm_fusion]
-    rows = golden_dataset.matrix[:, cols]
+    rows = golden_dataset.matrix[:, golden_cols]
     return train(rows, golden_dataset.errors, GOLDEN_TRAIN_CONFIG,
                  rng=np.random.default_rng(7))

@@ -52,19 +52,19 @@ def _verdict(tag: str, ok: bool, detail: str = ""):
 # Criterion 1: the illustrative 16-statement walkthrough
 
 def test_criterion_1_golden_example(golden_version, golden_records, golden_dataset,
-                                    golden_semantic, golden_fused):
+                                    golden_semantic, golden_fused, golden_cols):
     start = time.time()
     assert golden_dataset.matrix.shape == (6, 16)
     assert golden_dataset.errors.tolist() == [0, 0, 1, 0, 0, 1]
 
-    assert golden_semantic.stm_sc == [1, 3, 7, 8, 14, 15]
+    assert golden_semantic == [1, 3, 7, 8, 14, 15]
     assert golden_fused.stm_fusion == [1, 3, 14, 15]
 
     bundle = train(
-        golden_dataset.matrix[:, [s - 1 for s in golden_fused.stm_fusion]],
+        golden_dataset.matrix[:, golden_cols],
         golden_dataset.errors, GOLDEN_TRAIN_CONFIG, rng=np.random.default_rng(7))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(1,)))
-    augmented = generate_until_balanced(bundle, golden_dataset, golden_fused,
+    augmented = generate_until_balanced(bundle, golden_dataset, golden_cols,
                                         GOLDEN_TRAIN_CONFIG, rng)
     assert len(augmented.synthetic_rows) == 2
     assert augmented.dataset.num_failing == augmented.dataset.num_passing == 4
@@ -119,9 +119,9 @@ def test_criterion_2_diffusion_math():
     prng = np.random.default_rng(9)
     for p in model.named_params().values():
         p.data = p.data + 0.05 * prng.standard_normal(p.data.shape)
-    bundle = DiffusionBundle(model=model, sched=small, gamma=2.0, width=4)
-    anc = ancestral_sample(bundle, 2, np.random.default_rng(3), eta=0.0)
-    ode = dpm_solve(bundle, 2, np.random.default_rng(3), steps=200, order=1)
+    bundle = DiffusionBundle(model=model, sched=small, width=4)
+    anc = ancestral_sample(bundle, 2, np.random.default_rng(3), gamma=2.0, eta=0.0)
+    ode = dpm_solve(bundle, 2, np.random.default_rng(3), gamma=2.0, steps=200, order=1)
     assert np.max(np.abs(anc - ode)) < 1e-6
 
     # linear model eps(x) = x against a fine Runge-Kutta oracle
@@ -129,9 +129,10 @@ def test_criterion_2_diffusion_math():
         def predict(self, x, t, c):
             return np.asarray(x, dtype=np.float64)
 
-    lin = DiffusionBundle(model=_Linear(), sched=sched, gamma=0.0, width=4)
+    lin = DiffusionBundle(model=_Linear(), sched=sched, width=4)
     x_T = np.random.default_rng(12).standard_normal((2, 4))
-    got = dpm_solve(lin, 2, np.random.default_rng(0), steps=300, order=2, x_init=x_T)
+    got = dpm_solve(lin, 2, np.random.default_rng(0), gamma=0.0, steps=300, order=2,
+                    x_init=x_T)
     lam_T = float(sched.lambda_at(sched.T))
     lam_1 = float(sched.lambda_at(1))
     alpha_of = lambda lam: 1.0 / np.sqrt(1.0 + np.exp(-2.0 * lam))
@@ -251,7 +252,7 @@ def test_criterion_4_selection_algorithms(golden_semantic):
         accepted += 1
 
     # fusion walkthrough, exact set equality
-    fused = fuse(golden_semantic.stm_sc, REFERENCE_PCA_ORDER, alpha=1.0, target_dim=4)
+    fused = fuse(golden_semantic, REFERENCE_PCA_ORDER, alpha=1.0, target_dim=4)
     assert fused.stm_fusion == [1, 3, 14, 15]
     _verdict("criterion-4 selection algorithms", True)
 
@@ -355,9 +356,8 @@ def test_criterion_8_balance_invariants(e2e_run):
         assert len(built) == len(versions), scenario
         for out, _ in built:
             assert out.dataset.num_failing == out.dataset.num_passing, scenario
-    for out, (_, _, fused, *_) in balanced["pcd"]:
-        outside = [j for j in range(out.synthetic_rows.shape[1])
-                   if (j + 1) not in fused.stm_fusion]
+    for out, (_, _, cols, *_) in balanced["pcd"]:
+        outside = [j for j in range(out.synthetic_rows.shape[1]) if j not in cols]
         assert np.all(out.synthetic_rows[:, outside] == 0)
     _verdict("criterion-8 balance invariants", True,
              f"{len(versions)} versions balanced, synthetic rows confined")

@@ -28,9 +28,10 @@ def test_binarize_rejects_nonfinite():
         binarize(np.array([float("inf")]))
 
 
-def test_generate_until_balanced_golden(golden_bundle, golden_dataset, golden_fused):
+def test_generate_until_balanced_golden(golden_bundle, golden_dataset, golden_fused,
+                                        golden_cols):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(1,)))
-    aug = generate_until_balanced(golden_bundle, golden_dataset, golden_fused,
+    aug = generate_until_balanced(golden_bundle, golden_dataset, golden_cols,
                                   GOLDEN_TRAIN_CONFIG, rng)
     assert len(aug.synthetic_rows) == 2
     ds = aug.dataset
@@ -45,18 +46,18 @@ def test_generate_until_balanced_golden(golden_bundle, golden_dataset, golden_fu
     assert np.all(ds.errors[6:] == 1)
 
 
-def test_generate_balanced_input_is_noop(golden_bundle, golden_fused):
+def test_generate_balanced_input_is_noop(golden_bundle, golden_cols):
     ds = _dataset([[1, 0, 1, 1], [0, 1, 0, 1]], [1, 0])
-    aug = generate_until_balanced(golden_bundle, ds, golden_fused,
+    aug = generate_until_balanced(golden_bundle, ds, golden_cols,
                                   GOLDEN_TRAIN_CONFIG, np.random.default_rng(0))
     assert len(aug.synthetic_rows) == 0
     assert np.array_equal(aug.dataset.matrix, ds.matrix)
 
 
-def test_generate_requires_failures(golden_bundle, golden_fused):
+def test_generate_requires_failures(golden_bundle, golden_cols):
     ds = _dataset([[1, 0, 1, 1], [0, 1, 0, 1]], [0, 0])
     with pytest.raises(NoFailingTests):
-        generate_until_balanced(golden_bundle, ds, golden_fused,
+        generate_until_balanced(golden_bundle, ds, golden_cols,
                                 GOLDEN_TRAIN_CONFIG, np.random.default_rng(0))
 
 
@@ -112,7 +113,7 @@ def test_resample_requires_failures():
         resample(ds, np.random.default_rng(0))
 
 
-def test_reject_empty_knob(golden_dataset, golden_fused):
+def test_reject_empty_knob(golden_dataset, golden_cols):
     from dataclasses import replace
 
     from faultlab.diffusion import DiffusionBundle, make_schedule
@@ -124,16 +125,15 @@ def test_reject_empty_knob(golden_dataset, golden_fused):
             return np.asarray(x, dtype=np.float64) + 3.0
 
     sched = make_schedule(40, 1e-3, 0.05)
-    bundle = DiffusionBundle(model=NegativeStub(), sched=sched, gamma=0.0,
-                             width=len(golden_fused.stm_fusion))
+    bundle = DiffusionBundle(model=NegativeStub(), sched=sched, width=len(golden_cols))
     keep_cfg = replace(GOLDEN_TRAIN_CONFIG, reject_empty=False, sample_steps=10)
-    aug = generate_until_balanced(bundle, golden_dataset, golden_fused,
+    aug = generate_until_balanced(bundle, golden_dataset, golden_cols,
                                   keep_cfg, np.random.default_rng(0))
     # degenerate all-zero rows are kept by default
     assert len(aug.synthetic_rows) == 2
     assert np.all(aug.synthetic_rows == 0)
     # with rejection enabled the retry loop still terminates on hopeless models
     retry_cfg = replace(GOLDEN_TRAIN_CONFIG, reject_empty=True, sample_steps=10)
-    aug2 = generate_until_balanced(bundle, golden_dataset, golden_fused,
+    aug2 = generate_until_balanced(bundle, golden_dataset, golden_cols,
                                    retry_cfg, np.random.default_rng(0))
     assert len(aug2.synthetic_rows) == 2

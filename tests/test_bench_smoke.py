@@ -7,8 +7,10 @@ spans are also checked to be recorded by a train step and a sampling call.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,36 @@ from faultlab.neural import AdamW, Denoiser
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Per-layer metrics a workload cannot reach, so they read 0 there.
+# analysis-wide runs no diffusion and no neural localizer; pcd-imbalanced
+# has no undersample or resample scenario.
+UNREACHED = {
+    "analysis-wide": {"augment.balance_s", "augment.kept_ratio", "augment.rounds",
+                      "augment.rows_drawn"},
+    "pcd-imbalanced": {"augment.baseline_s"},
+}
+UNREACHED_PREFIXES = {"analysis-wide": ("diffusion.", "neural.", "dlfl.")}
+
 
 def test_bench_smoke_passes():
+    start = time.time()
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--smoke"],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, (proc.stdout + proc.stderr)[-3000:]
+    # Every declared per-layer metric is reported, and each one a workload
+    # reaches is non-zero: a library change that took a traced call off the
+    # run path, or changed what its wrapper reads, would read 0.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["per_layer"]]
+    for workload in (w["name"] for w in declared["workloads"]):
+        path = ROOT / "bench" / "out" / "results" / f"{workload}-seed1-trace1-smoke.json"
+        assert path.stat().st_mtime >= start, f"{path} was not written by this run"
+        metrics = json.loads(path.read_text())["metrics"]
+        assert not set(names) - set(metrics), (workload, sorted(set(names) - set(metrics)))
+        unreached = {n for n in names if n in UNREACHED[workload]
+                     or n.startswith(UNREACHED_PREFIXES.get(workload, ()))}
+        zero = {n for n in names if metrics[n]["value"] == 0}
+        assert zero == unreached, (workload, sorted(zero ^ unreached))
 
 
 def _tracer():
@@ -46,7 +73,7 @@ def test_traced_neural_spans_stay_on_the_run_path():
     hooks = tracer.Hooks(tracer.Capture())
     hooks.install(trace=True)
     try:
-        diffusion.train_step(model, opt, rows, np.array([0, 1, 0, 1]), diffusion.TrainConfig(),
+        diffusion.train_step(model, opt, rows, np.array([0, 1, 0, 1]),
                              diffusion.make_schedule(50, 1e-4, 0.02), rng)
         diffusion.guided_eps(model, rows, np.full(4, 7), np.ones(4, dtype=int), 2.0)
     finally:

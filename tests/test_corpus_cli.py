@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -8,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from faultlab import pipeline
 from faultlab.cli import load_config_file, main
+from faultlab.context import fuse
 from faultlab.corpus import (
     generate_corpus,
     load_corpus,
@@ -17,9 +20,10 @@ from faultlab.corpus import (
 )
 from faultlab.diffusion import TrainConfig
 from faultlab.errors import FaultlabError, InvalidConfig, TemplateError
-from faultlab.metrics import MetricsReport
+from faultlab.metrics import MetricsReport, topk
 from faultlab.minilang import Mutation, execute
 from faultlab.pipeline import RunConfig, emit_report, run_pipeline
+from faultlab.spectra import CoverageDataset, rank, score, tally
 
 
 def _hash_tree(root: Path) -> dict:
@@ -94,8 +98,8 @@ def test_pipeline_reports_are_reproducible(tmp_path):
     ("context", {"v000_illustrative": 1}, ["v000_illustrative", "v001_moved"]),
     ("full", {"v000_illustrative": 5, "v001_moved": 1}, []),
 ])
-def test_context_space_drops_a_fault_outside_the_context(golden_version, eval_space,
-                                                         ranks, contexts):
+def test_context_space_drops_a_fault_outside_the_context(monkeypatch, golden_version,
+                                                         eval_space, ranks, contexts):
     # The same faulty program, with its recorded fault moved to S10, which
     # lies outside the fused context [1, 3, 14, 15].
     moved = dataclasses.replace(golden_version, version_id="v001_moved",
@@ -105,6 +109,36 @@ def test_context_space_drops_a_fault_outside_the_context(golden_version, eval_sp
     report = run_pipeline(cfg, versions=[golden_version, moved])
     assert {row["version"]: row["first_rank"] for row in report.per_version} == ranks
     assert sorted(report.config["contexts"]) == contexts
+
+    # With pcd and mlpfl, count each version's training and scoring calls:
+    # a version dropped at its context reaches none of them, and its
+    # context is still reported.
+    cfg = RunConfig(scenarios=("origin", "pcd"), methods=("gp02", "mlpfl"), seed=7,
+                    train=TrainConfig(eval_space=eval_space, epochs=30))
+    calls = collections.Counter()
+    running = {}
+
+    def spy(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            if name == "process_version":
+                running["version"] = args[0].version_id
+            else:
+                calls[running["version"], name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in ("process_version", "train", "score", "train_mlpfl"):
+        spy(name)
+    report = run_pipeline(cfg, versions=[golden_version, moved])
+    assert {row["version"] for row in report.per_version} == set(ranks)
+    assert sorted(report.config["contexts"]) == ["v000_illustrative", "v001_moved"]
+    # one pcd model; gp02 and mlpfl once per scenario
+    done = {"train": 1, "score": 2, "train_mlpfl": 2}
+    for vid in (golden_version.version_id, moved.version_id):
+        got = {name: calls[vid, name] for name in done}
+        assert got == (done if vid in ranks else dict.fromkeys(done, 0)), vid
 
 
 def test_pipeline_isolates_version_failures(tmp_path):
@@ -119,6 +153,22 @@ def test_pipeline_isolates_version_failures(tmp_path):
     assert report.errors[0]["version"] == broken.version_id
     done = {row["version"] for row in report.per_version}
     assert done == {versions[0].version_id, versions[2].version_id}
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: fuse([1, 2, 3, 4], [1, 2, 3, 4], alpha=-1.0),
+    lambda v: pipeline.process_version(v, RunConfig(scenarios=("nope",))),
+    lambda v: score("nope", tally(CoverageDataset(np.eye(2), [1, 0]))),
+    lambda v: rank(np.array([0.5, 0.1])).rank_of(1, tie="nope"),
+    lambda v: topk([], 0),
+    lambda v: CoverageDataset(np.eye(2), [1, 0, 1]),
+], ids=["fuse-alpha", "process_version-scenario", "score-formula", "rank_of-tie",
+        "topk-k", "dataset-shape"])
+def test_library_errors_derive_from_faultlab_error(golden_version, call):
+    # run_pipeline isolates a version by FaultlabError, so a library check
+    # raising anything else would abort the batch.
+    with pytest.raises(FaultlabError):
+        call(golden_version)
 
 
 def test_cli_corpus_run_report_roundtrip(tmp_path, capsys):

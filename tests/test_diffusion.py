@@ -3,7 +3,6 @@ import pytest
 
 from faultlab.diffusion import (
     DiffusionBundle,
-    TrainConfig,
     ancestral_sample,
     apply_label_dropout,
     dpm_solve,
@@ -38,8 +37,8 @@ class StubModel:
         return Tensor(out[:, None, :])
 
 
-def stub_bundle(fn, sched, width, gamma=0.0):
-    return DiffusionBundle(model=StubModel(fn), sched=sched, gamma=gamma, width=width)
+def stub_bundle(fn, sched, width):
+    return DiffusionBundle(model=StubModel(fn), sched=sched, width=width)
 
 
 # -- schedule ------------------------------------------------------------------
@@ -132,7 +131,6 @@ def test_iterative_kernel_matches_closed_form_in_distribution():
 
 def test_train_step_loss_zero_for_exact_noise_oracle():
     sched = make_schedule(50, 1e-3, 0.05)
-    cfg = TrainConfig(steps=50)
     x0 = encode_bits(np.array([[1, 0, 1, 1]]))
 
     def exact_eps(x_t, t, c):
@@ -140,20 +138,19 @@ def test_train_step_loss_zero_for_exact_noise_oracle():
         return (x_t - np.sqrt(abar) * x0) / np.sqrt(1.0 - abar)
 
     loss = train_step(StubModel(exact_eps), AdamW({}), x0, np.array([1]),
-                      cfg, sched, np.random.default_rng(0))
+                      sched, np.random.default_rng(0))
     assert loss < 1e-20
 
 
 def test_train_step_zero_model_loss_near_width():
     # a zero predictor's expected loss is the squared norm of the noise: K
     sched = make_schedule(100, 1e-4, 0.02)
-    cfg = TrainConfig(steps=100)
     model = Denoiser(seed=0, base=4, groups=2, emb_dim=8)  # zero head
     opt = AdamW(model.named_params(), lr=0.0, weight_decay=0.0)
     rows = encode_bits(np.random.default_rng(0).integers(0, 2, size=(8, 4)))
     labels = np.random.default_rng(1).integers(0, 2, size=8)
     rng = np.random.default_rng(2)
-    losses = [train_step(model, opt, rows, labels, cfg, sched, rng)
+    losses = [train_step(model, opt, rows, labels, sched, rng)
               for _ in range(1000)]
     assert abs(np.mean(losses) - 4.0) < 0.15
 
@@ -162,8 +159,7 @@ def test_train_step_rejects_empty_batch():
     sched = make_schedule(10, 1e-3, 0.05)
     with pytest.raises(EmptyBatch):
         train_step(StubModel(lambda x, t, c: x), AdamW({}),
-                   np.zeros((0, 4)), np.zeros(0), TrainConfig(steps=10),
-                   sched, np.random.default_rng(0))
+                   np.zeros((0, 4)), np.zeros(0), sched, np.random.default_rng(0))
 
 
 def test_label_dropout_rate():
@@ -216,7 +212,7 @@ def test_guided_eps_cancels_when_branches_agree():
 def test_ancestral_zero_model_closed_form():
     sched = make_schedule(60, 1e-3, 0.05)
     bundle = stub_bundle(lambda x, t, c: np.zeros_like(x), sched, width=4)
-    out = ancestral_sample(bundle, 2, np.random.default_rng(8), eta=0.0)
+    out = ancestral_sample(bundle, 2, np.random.default_rng(8), gamma=0.0, eta=0.0)
     x_T = np.random.default_rng(8).standard_normal((2, 4))
     assert np.allclose(out, x_T / np.sqrt(sched.alpha_bar[-1]), atol=1e-9)
 
@@ -231,18 +227,18 @@ def test_ancestral_exact_oracle_recovers_x0():
         return (x_t - np.sqrt(abar) * x0) / np.sqrt(1.0 - abar)
 
     bundle = stub_bundle(exact_eps, sched, width=4)
-    out = ancestral_sample(bundle, 1, np.random.default_rng(0), eta=0.0)
+    out = ancestral_sample(bundle, 1, np.random.default_rng(0), gamma=0.0, eta=0.0)
     assert np.allclose(out, x0, atol=1e-3)
     # the stochastic chain contracts to x0 as well
-    out2 = ancestral_sample(bundle, 1, np.random.default_rng(1), eta=1.0)
+    out2 = ancestral_sample(bundle, 1, np.random.default_rng(1), gamma=0.0, eta=1.0)
     assert np.allclose(out2, x0, atol=1e-3)
 
 
 def test_ancestral_determinism_under_seed():
     sched = make_schedule(50, 1e-3, 0.05)
     bundle = stub_bundle(lambda x, t, c: 0.1 * x, sched, width=4)
-    a = ancestral_sample(bundle, 3, np.random.default_rng(5))
-    b = ancestral_sample(bundle, 3, np.random.default_rng(5))
+    a = ancestral_sample(bundle, 3, np.random.default_rng(5), gamma=0.0)
+    b = ancestral_sample(bundle, 3, np.random.default_rng(5), gamma=0.0)
     assert np.array_equal(a, b)
 
 
@@ -275,7 +271,7 @@ def test_dpm_rejects_bad_order():
     sched = make_schedule(10, 1e-3, 0.05)
     bundle = stub_bundle(lambda x, t, c: x, sched, width=4)
     with pytest.raises(InvalidOrder):
-        dpm_solve(bundle, 1, np.random.default_rng(0), order=3)
+        dpm_solve(bundle, 1, np.random.default_rng(0), gamma=0.0, order=3)
 
 
 def test_dpm_timesteps_grid():
@@ -291,7 +287,7 @@ def test_dpm_timesteps_grid():
 def test_dpm_zero_model_is_pure_rescaling():
     sched = make_schedule(400, 1e-4, 0.02)
     bundle = stub_bundle(lambda x, t, c: np.zeros_like(x), sched, width=4)
-    out = dpm_solve(bundle, 2, np.random.default_rng(4), steps=25, order=2)
+    out = dpm_solve(bundle, 2, np.random.default_rng(4), gamma=0.0, steps=25, order=2)
     x_T = np.random.default_rng(4).standard_normal((2, 4))
     assert np.allclose(out, x_T / np.sqrt(sched.alpha_bar[-1]), atol=1e-9)
 
@@ -303,9 +299,9 @@ def test_dpm_order1_full_grid_matches_deterministic_ancestral():
     rng = np.random.default_rng(9)
     for p in model.named_params().values():
         p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
-    bundle = DiffusionBundle(model=model, sched=sched, gamma=1.5, width=4)
-    anc = ancestral_sample(bundle, 3, np.random.default_rng(3), eta=0.0)
-    ode = dpm_solve(bundle, 3, np.random.default_rng(3), steps=40, order=1)
+    bundle = DiffusionBundle(model=model, sched=sched, width=4)
+    anc = ancestral_sample(bundle, 3, np.random.default_rng(3), gamma=1.5, eta=0.0)
+    ode = dpm_solve(bundle, 3, np.random.default_rng(3), gamma=1.5, steps=40, order=1)
     assert np.max(np.abs(anc - ode)) < 1e-6
 
 
@@ -316,7 +312,7 @@ def test_dpm_linear_model_matches_rk4_oracle():
     sched = make_schedule(1000, 1e-4, 0.02)
     bundle = stub_bundle(lambda x, t, c: x, sched, width=4)
     x_T = np.random.default_rng(12).standard_normal((2, 4))
-    got = dpm_solve(bundle, 2, np.random.default_rng(0), steps=300, order=2,
+    got = dpm_solve(bundle, 2, np.random.default_rng(0), gamma=0.0, steps=300, order=2,
                     x_init=x_T)
 
     lam_T = float(sched.lambda_at(sched.T))
@@ -349,8 +345,8 @@ def test_dpm_deterministic_after_initial_draw():
     sched = make_schedule(100, 1e-3, 0.05)
     bundle = stub_bundle(lambda x, t, c: 0.3 * x, sched, width=6)
     x_T = np.random.default_rng(1).standard_normal((2, 6))
-    a = dpm_solve(bundle, 2, np.random.default_rng(10), x_init=x_T)
-    b = dpm_solve(bundle, 2, np.random.default_rng(99), x_init=x_T)
+    a = dpm_solve(bundle, 2, np.random.default_rng(10), gamma=0.0, x_init=x_T)
+    b = dpm_solve(bundle, 2, np.random.default_rng(99), gamma=0.0, x_init=x_T)
     assert np.array_equal(a, b)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from faultlab import cli
-from faultlab.corpus import generate_corpus
+from faultlab.corpus import generate_corpus, write_corpus
 from faultlab.diffusion import TrainConfig
 from faultlab.errors import InvalidConfig
 from faultlab.pipeline import KNOBS, RunConfig, emit_report, run_pipeline
@@ -75,6 +75,21 @@ def test_runs_differing_in_one_knob_write_different_reports(tmp_path, change):
         emit_report(run_pipeline(cfg, versions=versions), tmp_path / name, ("json",))
     default = (tmp_path / "default" / "report.json").read_bytes()
     assert (tmp_path / "changed" / "report.json").read_bytes() != default
+
+
+@pytest.mark.parametrize("field", [field for field, kind in cli._knob_types().items()
+                                   if kind is float])
+def test_huge_float_knob_exits_2_or_writes_a_report(tmp_path, field):
+    # 1e308 is finite, so only a bound can reject it.  A knob validate lets
+    # through must run to a report, its version's error recorded there;
+    # an exception escaping the per-version isolation fails this test.
+    corpus = tmp_path / "corpus"
+    write_corpus(generate_corpus(1, seed=4), corpus)
+    out = tmp_path / "run"
+    code = cli.main(["run", "--corpus", str(corpus), "--out", str(out),
+                     "--scenarios", "origin,pcd", "--methods", "gp02", "--epochs", "3",
+                     "--" + field, "1e308"])
+    assert code == 2 or (out / "report.json").is_file()
 
 
 def test_config_file_bad_bool_names_file_and_line(tmp_path):

@@ -12,7 +12,6 @@ import pytest
 
 from faultlab.diffusion import (
     P_UNCOND,
-    TrainConfig,
     apply_label_dropout,
     make_schedule,
     q_sample,
@@ -133,13 +132,13 @@ def test_trained_parameters_equal_tape_after_60_steps():
         net = oracle.TapeDenoiser(model) if tape else model
         rng = np.random.default_rng(0)
         for _ in range(60):
-            train_step(net, opt, rows, labels, TrainConfig(), sched, rng)
+            train_step(net, opt, rows, labels, sched, rng)
         flats.append(opt.flat)
     assert np.array_equal(flats[0], flats[1])
     assert np.array_equal(np.signbit(flats[0]), np.signbit(flats[1]))
 
 
-def _tape_train_step(model, opt, batch_x, labels, cfg, sched, rng):
+def _tape_train_step(model, opt, batch_x, labels, sched, rng):
     """`train_step` as it was when the loss was built from tape ops, one node
     per op, on the library network's node."""
     n, width = batch_x.shape
@@ -164,7 +163,7 @@ def test_written_out_loss_equals_tape_loss_after_60_steps():
         model = Denoiser(seed=3)
         opt = AdamW(model.named_params(), lr=3e-3)
         rng = np.random.default_rng(0)
-        losses.append([step(model, opt, rows, labels, TrainConfig(), sched, rng)
+        losses.append([step(model, opt, rows, labels, sched, rng)
                        for _ in range(60)])
         flats.append(opt.flat)
     assert np.array_equal(flats[0], flats[1])

@@ -139,7 +139,7 @@ def test_odd_width_rejected():
 
 
 def test_class_conditioning_diverges_after_one_step():
-    from faultlab.diffusion import TrainConfig, make_schedule, train_step
+    from faultlab.diffusion import make_schedule, train_step
 
     model = Denoiser(seed=1, base=4, groups=2, emb_dim=8)
     x = np.random.default_rng(2).normal(size=(4, 8))
@@ -149,7 +149,7 @@ def test_class_conditioning_diverges_after_one_step():
     sched = make_schedule(50, 1e-4, 0.02)
     opt = AdamW(model.named_params(), lr=1e-2)
     train_step(model, opt, np.sign(x), np.array([0, 1, 0, 1]),
-               TrainConfig(), sched, np.random.default_rng(0))
+               sched, np.random.default_rng(0))
     diff = model.predict(x, t, np.full(4, 1)) - model.predict(x, t, None)
     assert np.max(np.abs(diff)) > 0.0
 

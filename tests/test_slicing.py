@@ -63,20 +63,18 @@ def test_slice_matches_forward_propagation_oracle():
 
 
 def test_fault_context_union(golden_semantic):
-    assert golden_semantic.stm_sc == [1, 3, 7, 8, 14, 15]
+    assert golden_semantic == [1, 3, 7, 8, 14, 15]
 
 
 def test_fault_context_single_test(golden_records):
     t3 = golden_records[2]
-    ctx = fault_context([(t3, default_criterion(t3))])
-    assert ctx.stm_sc == [1, 3, 7, 14]
+    assert fault_context([(t3, default_criterion(t3))]) == [1, 3, 7, 14]
 
 
 def test_fault_context_duplicate_tests_dedup(golden_records):
     t3 = golden_records[2]
     pair = [(t3, default_criterion(t3)), (t3, default_criterion(t3))]
-    ctx = fault_context(pair)
-    assert ctx.stm_sc == [1, 3, 7, 14]
+    assert fault_context(pair) == [1, 3, 7, 14]
 
 
 def test_fault_context_requires_failures():
@@ -89,16 +87,16 @@ def test_monotonicity_adding_tests_never_shrinks(golden_records):
     t6 = golden_records[5]
     small = fault_context([(t3, default_criterion(t3))])
     big = fault_context([(t3, default_criterion(t3)), (t6, default_criterion(t6))])
-    assert set(small.stm_sc) <= set(big.stm_sc)
+    assert set(small) <= set(big)
 
 
 def test_fault_statement_lands_in_context(golden_version, golden_semantic):
-    assert golden_version.mutation.target in golden_semantic.stm_sc
+    assert golden_version.mutation.target in golden_semantic
 
 
 def test_context_export_json(golden_dataset, golden_semantic, golden_fused):
     statistical = contribution_select(golden_dataset.matrix)
-    dump = json.loads(context_dump(golden_semantic, statistical, golden_fused))
+    dump = json.loads(context_dump(golden_semantic, statistical, golden_fused, 1.0))
     assert dump == {"stm_sc": [1, 3, 7, 8, 14, 15], "stm_pca": statistical.stm_pca,
                     "stm_fusion": [1, 3, 14, 15], "alpha": 1.0, "m": statistical.m,
                     "k": 4}
