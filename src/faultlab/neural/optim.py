@@ -14,8 +14,11 @@ handful of whole-buffer numpy calls instead of a loop over parameters.
 The calls write in place through one scratch buffer and keep the
 per-element operation order of the formula above, so the result is the
 same, bit for bit, as updating each parameter on its own.  A missing
-gradient counts as zero.  Assigning a new array to `p.data` after
-construction detaches that parameter from the optimizer.
+gradient counts as zero.  A gradient that is not finite, or an update
+that overflows a parameter, raises `NonFiniteGradient` with nothing
+printed; only the former leaves the buffer untouched.  Assigning a new
+array to `p.data` after construction detaches that parameter from the
+optimizer.
 
 A caller that computes its gradients by hand can write them in place into
 `grad_views()` and call `step(flat_grad=True)`, which skips gathering
@@ -23,6 +26,8 @@ A caller that computes its gradients by hand can write them in place into
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,25 +78,38 @@ class AdamW:
         if not flat_grad:
             np.concatenate([np.zeros(q.data.size) if q.grad is None else q.grad.reshape(-1)
                             for q in self.params.values()], out=g)
-        if not np.isfinite(g).all():
-            for name, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:]):
-                if not np.isfinite(g[lo:hi]).all():
-                    raise NonFiniteGradient(f"gradient of {name!r} is not finite")
-        self.m *= self.b1
-        np.multiply(g, 1.0 - self.b1, out=s)
-        self.m += s
-        self.v *= self.b2
-        np.multiply(g, 1.0 - self.b2, out=s)
-        s *= g
-        self.v += s
-        # The gradient is spent: its buffer takes sqrt(v_hat) + eps, then
-        # the decay lr*wd*p of the pre-update p.
-        np.divide(self.v, 1.0 - self.b2 ** t, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        np.divide(self.m, 1.0 - self.b1 ** t, out=s)
-        s *= self.lr
-        s /= g
-        np.multiply(p, self.lr * self.weight_decay, out=g)
-        p -= s
-        p -= g
+        # Nothing here prints a numpy warning: an update that overflows (at a
+        # huge lr) is raised by the check after it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._check_finite(g, "gradient")
+            self.m *= self.b1
+            np.multiply(g, 1.0 - self.b1, out=s)
+            self.m += s
+            self.v *= self.b2
+            np.multiply(g, 1.0 - self.b2, out=s)
+            s *= g
+            self.v += s
+            # The gradient is spent: its buffer takes sqrt(v_hat) + eps, then
+            # the decay lr*wd*p of the pre-update p.
+            np.divide(self.v, 1.0 - self.b2 ** t, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            np.divide(self.m, 1.0 - self.b1 ** t, out=s)
+            s *= self.lr
+            s /= g
+            np.multiply(p, self.lr * self.weight_decay, out=g)
+            p -= s
+            p -= g
+            self._check_finite(p, "updated value")
+
+    def _check_finite(self, buf: np.ndarray, what: str) -> None:
+        """Raise NonFiniteGradient naming the first parameter whose slice of
+        the flat buffer `buf` holds an inf or a nan."""
+        # A finite sum means every element is finite (an overflowing sum
+        # falls through to the exact scan), and summing makes no temporary:
+        # a boolean copy of the buffer would page-fault each step.
+        if math.isfinite(buf.sum()):
+            return
+        for name, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:]):
+            if not np.isfinite(buf[lo:hi]).all():
+                raise NonFiniteGradient(f"{what} of {name!r} is not finite")

@@ -20,9 +20,9 @@ import numpy as np
 from . import augment as aug_mod
 from .context import contribution_select, context_dump, fuse
 from .corpus import Version, load_version, read_manifest
-from .diffusion import MAX_STEPS, TrainConfig, train
+from .diffusion import MAX_STEPS, TrainConfig, make_schedule, train
 from .dlfl import MlpFlConfig, train_mlpfl, virtual_suspiciousness
-from .errors import FaultlabError, InvalidConfig, IoError
+from .errors import FaultlabError, InvalidConfig, InvalidRange, IoError
 from .metrics import MetricsReport, VersionResult, render_table, rimp_csv, summarize
 from .minilang import execute
 from .slicing import default_criterion, fault_context
@@ -71,6 +71,12 @@ class RunConfig:
         ):
             if not ok:
                 problems.append(what)
+        # the schedule is built only for steps and betas already in range
+        if 2 <= t.steps <= MAX_STEPS and 0 < t.beta1 <= t.betaT < 1:
+            try:
+                make_schedule(t.steps, t.beta1, t.betaT)
+            except InvalidRange as exc:
+                problems.append(str(exc))
         if problems:
             raise InvalidConfig("; ".join(problems))
 
@@ -175,12 +181,13 @@ def process_version(version: Version, cfg: RunConfig) -> tuple[dict, set[int], s
             raise InvalidConfig(f"unknown scenario {scenario!r}")
         if in_context:
             scen_ds = CoverageDataset(scen_ds.matrix[:, cols], scen_ds.errors, scen_ds.test_ids)
+        counts = tally(scen_ds)
         for method in cfg.methods:
             if method == "mlpfl":
                 seed = int(stream(scenario, method).integers(0, 2**31 - 1))
                 scores = virtual_suspiciousness(train_mlpfl(scen_ds, MlpFlConfig(seed=seed)))
             else:
-                scores = score(method, tally(scen_ds))
+                scores = score(method, counts)
             rankings[(scenario, method)] = rank(scores)
     return rankings, faults, dump
 
@@ -201,7 +208,7 @@ def run_pipeline(cfg: RunConfig, versions: list[Version] | None = None) -> Metri
         try:
             version = load()
             rankings, faults, dump = process_version(version, cfg)
-        except FaultlabError as exc:
+        except (FaultlabError, MemoryError) as exc:
             errors.append({"version": version_id,
                            "error": type(exc).__name__, "message": str(exc)})
             continue

@@ -155,6 +155,39 @@ def test_pipeline_isolates_version_failures(tmp_path):
     assert done == {versions[0].version_id, versions[2].version_id}
 
 
+def test_memory_error_in_one_version_is_that_versions_error(tmp_path, monkeypatch, capsys):
+    corpus_dir = tmp_path / "corpus"
+    versions = generate_corpus(3, seed=9)
+    write_corpus(versions, corpus_dir)
+    victim = versions[1].version_id
+    process_version, build_spectra = pipeline.process_version, pipeline.build_spectra
+    running = {}
+
+    def note_version(version, cfg):
+        running["version"] = version.version_id
+        return process_version(version, cfg)
+
+    def out_of_memory_for_victim(records):
+        # no real allocation: the victim's spectra raise as a failed one would
+        if running["version"] == victim:
+            raise MemoryError("cannot allocate the spectrum")
+        return build_spectra(records)
+
+    monkeypatch.setattr(pipeline, "process_version", note_version)
+    monkeypatch.setattr(pipeline, "build_spectra", out_of_memory_for_victim)
+    run_dir = tmp_path / "run"
+    code = main(["run", "--corpus", str(corpus_dir), "--out", str(run_dir),
+                 "--scenarios", "origin", "--methods", "gp02", "--seed", "9"])
+    assert code == 1
+    payload = json.loads((run_dir / "report.json").read_text())
+    assert payload["errors"] == [{"version": victim, "error": "MemoryError",
+                                  "message": "cannot allocate the spectrum"}]
+    assert {row["version"] for row in payload["per_version"]} == {
+        versions[0].version_id, versions[2].version_id}
+    err = capsys.readouterr().err
+    assert err == f"version {victim} failed: MemoryError: cannot allocate the spectrum\n"
+
+
 @pytest.mark.parametrize("call", [
     lambda v: fuse([1, 2, 3, 4], [1, 2, 3, 4], alpha=-1.0),
     lambda v: pipeline.process_version(v, RunConfig(scenarios=("nope",))),
@@ -344,6 +377,8 @@ def test_version_dir_loads_back(tmp_path):
     (["--gamma", "-3"], "gamma must be finite and >= 0, got -3.0"),
     (["--steps", "100001"], "steps must be <= 100000, got 100001"),
     (["--steps", "1000000000000000"], "steps must be <= 100000, got 1000000000000000"),
+    (["--steps", "5000", "--betaT", "0.5"], "alpha_bar underflows: 5000 steps"),
+    (["--steps", "100000"], "alpha_bar underflows: 100000 steps"),
 ])
 def test_cli_rejects_bad_knob_before_any_version(tmp_path, capsys, flags, message):
     # the corpus does not exist: validation has to fire before it is read

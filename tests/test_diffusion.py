@@ -65,6 +65,16 @@ def test_schedule_rejects_bad_ranges():
         make_schedule(100, 0.0, 0.02)
 
 
+def test_schedule_rejects_an_underflowing_alpha_bar():
+    # abar_T = 2.6e-308 is still a normal float; one more thousand steps
+    # takes it to 1.05e-312, a subnormal with a flat log-SNR tail
+    assert make_schedule(70_000, 1e-4, 0.02).alpha_bar[-1] >= np.finfo(np.float64).tiny
+    with pytest.raises(InvalidRange, match="alpha_bar underflows"):
+        make_schedule(71_000, 1e-4, 0.02)
+    with pytest.raises(InvalidRange, match="alpha_bar underflows"):
+        make_schedule(5000, 1e-4, 0.5)
+
+
 # -- forward sampling ------------------------------------------------------------
 
 def test_q_sample_noiseless():
@@ -282,6 +292,38 @@ def test_dpm_timesteps_grid():
     assert len(ts) <= 25
     assert dpm_timesteps(sched, 1000) == list(range(1000, 0, -1))
     assert dpm_timesteps(sched, 1) == [1000, 1]
+
+
+def _dpm_timesteps_by_loop(sched, steps):
+    """The grid with repeats removed by a strict-descent loop, as the
+    sampler once built it: the reference for `dpm_timesteps`."""
+    if steps < 2:
+        return [sched.T, 1]
+    if steps >= sched.T:
+        return list(range(sched.T, 0, -1))
+    targets = np.linspace(float(sched.lambda_at(sched.T)), float(sched.lambda_at(1)), steps)
+    ts = np.clip(np.rint(sched.t_of_lambda(targets)).astype(int), 1, sched.T)
+    ts[0] = sched.T
+    ts[-1] = 1
+    out = []
+    for t in ts:
+        if not out or t < out[-1]:
+            out.append(int(t))
+    if out[-1] != 1:
+        out.append(1)
+    return out
+
+
+@pytest.mark.parametrize("betas", [(1e-4, 0.02), (1e-3, 0.05), (0.3, 0.9)])
+def test_dpm_timesteps_match_the_strict_descent_loop(betas):
+    cases = [(T, steps) for T in range(2, 61) for steps in range(1, 61)]
+    if betas == (1e-4, 0.02):
+        cases += [(1000, steps) for steps in (1, 25, 999, 1000, 1001)]
+    for T, steps in cases:
+        sched = make_schedule(T, *betas)
+        got = dpm_timesteps(sched, steps)
+        assert got == _dpm_timesteps_by_loop(sched, steps), (T, steps)
+        assert all(type(t) is int for t in got)
 
 
 def test_dpm_zero_model_is_pure_rescaling():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -77,19 +78,67 @@ def test_runs_differing_in_one_knob_write_different_reports(tmp_path, change):
     assert (tmp_path / "changed" / "report.json").read_bytes() != default
 
 
-@pytest.mark.parametrize("field", [field for field, kind in cli._knob_types().items()
-                                   if kind is float])
-def test_huge_float_knob_exits_2_or_writes_a_report(tmp_path, field):
-    # 1e308 is finite, so only a bound can reject it.  A knob validate lets
-    # through must run to a report, its version's error recorded there;
-    # an exception escaping the per-version isolation fails this test.
-    corpus = tmp_path / "corpus"
+# Values every knob of a type must survive: exit 2 with one line, or a
+# written report.  2**63 overflows an int64; a float is also tried at
+# its non-finite values and at 1e308, which is finite but overflows once
+# scaled.
+BAD_VALUES = {
+    int: ("0", "-1", str(2**63)),
+    float: ("0", "-1", str(2**63), "nan", "inf", "-inf", "1e308"),
+    str: ("", "nope"),
+    bool: ("", "nope"),
+}
+# These pass validate and would only take long to run: 2**63 epochs, or a
+# sampler grid as fine as the schedule.
+ONLY_VALIDATED = {("epochs", str(2**63)), ("sample_steps", str(2**63))}
+CASES = [(field, text) for field, kind in cli._knob_types().items()
+         for text in BAD_VALUES[kind]] + [("unknown_key", "1")]
+
+
+@pytest.fixture(scope="module")
+def one_version_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("knobs") / "corpus"
     write_corpus(generate_corpus(1, seed=4), corpus)
-    out = tmp_path / "run"
-    code = cli.main(["run", "--corpus", str(corpus), "--out", str(out),
-                     "--scenarios", "origin,pcd", "--methods", "gp02", "--epochs", "3",
-                     "--" + field, "1e308"])
-    assert code == 2 or (out / "report.json").is_file()
+    return corpus
+
+
+@pytest.mark.parametrize("field, text", CASES, ids=[f"{f}={t}" for f, t in CASES])
+def test_bad_knob_value_exits_2_or_writes_a_report(tmp_path, monkeypatch, capsys,
+                                                    one_version_corpus, field, text):
+    # A config file carries the value, so "-inf" reaches validate rather
+    # than argparse.  The run works in tmp_path, because `output = ` writes
+    # into the working directory.  A value validate lets through must run
+    # to a report, its version's error recorded there; an exception
+    # escaping the per-version isolation fails this test.
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"corpus = {one_version_corpus}\noutput = run\n"
+                        "scenarios = origin,pcd\nmethods = gp02\nepochs = 3\n"
+                        f"{field} = {text}\n")
+    argv = ["run", "--config", str(cfg_file)]
+    if (field, text) in ONLY_VALIDATED:
+        cli._merge_run_config(cli.build_parser().parse_args(argv)).validate()
+        return
+    overflowing_update = (field, text) == ("lr", "1e308")
+    if not overflowing_update:
+        code = cli.main(argv)
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        # the update overflows inside AdamW, which raises with nothing printed
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    report = Path(text if field == "output" else "run") / "report.json"
+    if code == 2:
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+    else:
+        assert report.is_file()
+    if overflowing_update:
+        errors = json.loads(report.read_text())["errors"]
+        assert [e["error"] for e in errors] == ["NonFiniteGradient"]
 
 
 def test_config_file_bad_bool_names_file_and_line(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,27 @@ def test_adamw_names_the_parameter_with_a_nan_gradient():
     with pytest.raises(NonFiniteGradient, match=r"'res_mid\.conv1\.w'"):
         opt.step()
     assert np.array_equal(opt.flat, before)   # no parameter was updated
+
+
+def test_adamw_names_the_parameter_an_update_overflows():
+    model = Denoiser(seed=0, base=4, groups=2, emb_dim=8)
+    params = model.named_params()
+    opt = AdamW(params, lr=1e308, weight_decay=0.0)
+    params["res_mid.conv1.w"].grad = np.full(params["res_mid.conv1.w"].shape, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a printed overflow would raise instead
+        with pytest.raises(NonFiniteGradient, match=r"updated value of 'res_mid\.conv1\.w'"):
+            opt.step()
+
+
+def test_adamw_accepts_finite_gradients_whose_sum_overflows():
+    w = Tensor(np.zeros(2), requires_grad=True)
+    w.grad = np.array([1e308, 1e308])
+    opt = AdamW({"w": w})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt.step()
+    assert np.isfinite(opt.flat).all()
 
 
 def test_adamw_without_parameters_steps():
